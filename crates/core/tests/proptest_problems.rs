@@ -14,7 +14,8 @@
 //!   the bit-compatibility witness), and the `RoundPolicy::MinBucket`
 //!   runs of k-core/k-truss/densest must reproduce the PR 4 run-stats
 //!   snapshot exactly (the policy refactor may not perturb the
-//!   historical round structure).
+//!   historical round structure). The recompute, threshold and
+//!   offline drivers are pinned the same way by a second snapshot.
 //! * **(k,h)-core** must agree vertex-for-vertex with its sequential
 //!   ball-recount oracle across every bucket strategy.
 //! * **approx densest** must satisfy the (2+ε) sandwich
@@ -377,6 +378,88 @@ fn minbucket_stats_match_the_pr4_snapshot() {
                     &got, snap,
                     "{label}/{name} under {strategy}: stats drifted from the PR 4 snapshot"
                 );
+            }
+        }
+    }
+}
+
+/// Run-stats snapshot of the drivers the PR 4 table does not reach,
+/// under the technique-free config plus (for the last two) the offline
+/// driver: per input, `[rounds, subrounds, global_syncs, work,
+/// max_frontier, burdened_span]` of kh-core (h = 2, recompute),
+/// approx-densest (ε = 0.5, threshold), offline k-core and offline
+/// k-truss. Captured before the drivers were folded into one round
+/// loop, and identical across `RAYON_NUM_THREADS` ∈ {1, 4} and the
+/// Single/Adaptive strategies. Sampling and VGC stay out: their chase
+/// lengths depend on the schedule.
+const DRIVER_STATS: &[(&str, [[u64; 6]; 4])] = &[
+    (
+        "barabasi_albert",
+        [
+            [68, 93, 186, 6303, 68, 2790093],
+            [1, 3, 3, 2788, 336, 45003],
+            [4, 15, 45, 3402, 150, 675015],
+            [3, 7, 21, 1574, 820, 315007],
+        ],
+    ),
+    (
+        "rmat",
+        [
+            [208, 141, 282, 16645, 208, 4230141],
+            [2, 7, 7, 6140, 393, 105007],
+            [21, 47, 141, 7630, 87, 2115047],
+            [13, 74, 222, 27842, 268, 3330074],
+        ],
+    ),
+    (
+        "planted_core",
+        [
+            [57, 59, 118, 2367, 57, 1770059],
+            [2, 3, 3, 2534, 155, 45003],
+            [40, 16, 48, 2781, 83, 720016],
+            [39, 9, 27, 1516, 780, 405009],
+        ],
+    ),
+    (
+        "hcns",
+        [
+            [80, 1, 2, 80, 80, 30001],
+            [1, 2, 2, 3280, 51, 30002],
+            [41, 40, 120, 4060, 41, 1800040],
+            [40, 40, 120, 21360, 820, 1800040],
+        ],
+    ),
+];
+
+/// The recompute, threshold and offline halves of the stats guard:
+/// every driver's round structure and accounting must stay exactly as
+/// captured in [`DRIVER_STATS`].
+#[test]
+fn recompute_threshold_and_offline_stats_match_the_snapshot() {
+    for strategy in [BucketStrategy::Single, BucketStrategy::Adaptive] {
+        for (label, want) in DRIVER_STATS {
+            let g = seed_graph(label);
+            let config = Config { bucket_strategy: strategy, ..Config::default() };
+            let offline = Config { techniques: Techniques::offline(), ..config };
+            let kh = Decomposition::khcore(&g, 2).exact_config(config).run();
+            let ad = Decomposition::approx_densest(&g, 0.5).exact_config(config).run();
+            let kc = Decomposition::kcore(&g).exact_config(offline).run();
+            let kt = Decomposition::ktruss(&g).exact_config(offline).run();
+            for (name, stats, snap) in [
+                ("kh-core", kh.stats(), &want[0]),
+                ("approx-densest", ad.stats(), &want[1]),
+                ("offline k-core", kc.stats(), &want[2]),
+                ("offline k-truss", kt.stats(), &want[3]),
+            ] {
+                let got = [
+                    stats.rounds,
+                    stats.subrounds,
+                    stats.global_syncs,
+                    stats.work,
+                    stats.max_frontier as u64,
+                    stats.burdened_span,
+                ];
+                assert_eq!(&got, snap, "{label}/{name} under {strategy}: stats drifted");
             }
         }
     }

@@ -1,7 +1,9 @@
 //! Span-structure tests for the `kcore-obs` integration: the span tree
-//! of a fixed k-core run is pinned (names, nesting, counts — never
-//! timings), and the trace's round/subround span counts are required to
-//! agree exactly with the engine's own `RunStats` accounting.
+//! of one fixed run per round-loop configuration (fused unit, threshold,
+//! snapshot, recompute, offline) is pinned (names, nesting, counts —
+//! never timings), and the trace's round/subround span counts are
+//! required to agree exactly with the engine's own `RunStats`
+//! accounting.
 //!
 //! Tests here force the trace level programmatically and use
 //! `exact_config`, so the `KCORE_TRACE` / `KCORE_TECHNIQUES` CI matrix
@@ -123,4 +125,89 @@ fn offline_driver_shows_gather_histogram_apply_children() {
         assert!(tree.contains(&line), "expected {line:?} in tree:\n{tree}");
     }
     assert_eq!(report.span_count("subround"), stats.subrounds);
+}
+
+/// Runs `f` traced and returns the calling thread's span tree.
+fn tree_of<T: Send>(f: impl FnOnce() -> T + Send) -> String {
+    let _g = serial();
+    let (_, tid) = traced(f);
+    let tree = TraceReport::capture().span_tree(tid);
+    set_level(Level::Off);
+    tree
+}
+
+/// The triangle setup every k-truss run performs before its peel.
+const TRI_BUILD: &str = "tri.build x1\n\
+                         \x20 tri.orient x1\n\
+                         \x20 tri.supports x1\n\
+                         \x20 tri.cache x1\n";
+
+#[test]
+fn span_tree_of_a_fixed_threshold_approx_densest_run_is_pinned() {
+    // Threshold rounds scan the live aggregates before their bulk
+    // drain; the cascade then runs ordinary fused subrounds.
+    let g = gen::planted_core(300, 2, 50, 21);
+    let tree =
+        tree_of(|| Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run());
+    let expected = "approx-densest x1\n\
+                    \x20 round x2\n\
+                    \x20   aggregates x2\n\
+                    \x20   bucket.drain x2\n\
+                    \x20   subround x3\n\
+                    \x20     frontier.refile x3\n";
+    assert_eq!(tree, expected);
+}
+
+#[test]
+fn span_tree_of_a_fixed_snapshot_ktruss_run_is_pinned() {
+    let g = gen::barabasi_albert(300, 3, 7);
+    let tree = tree_of(|| Decomposition::ktruss(&g).exact_config(Config::default()).run());
+    let expected = format!(
+        "{TRI_BUILD}\
+         k-truss x1\n\
+         \x20 round x3\n\
+         \x20   bucket.drain x3\n\
+         \x20   subround x6\n\
+         \x20     settle x6\n\
+         \x20     rule x6\n\
+         \x20     frontier.refile x6\n"
+    );
+    assert_eq!(tree, expected);
+}
+
+#[test]
+fn span_tree_of_a_fixed_recompute_khcore_run_is_pinned() {
+    // Rounds outnumber subrounds: some priorities are never hit
+    // exactly, so their rounds drain an empty frontier.
+    let g = gen::barabasi_albert(300, 3, 7);
+    let tree = tree_of(|| Decomposition::khcore(&g, 2).exact_config(Config::default()).run());
+    let expected = "kh-core x1\n\
+                    \x20 round x69\n\
+                    \x20   bucket.drain x69\n\
+                    \x20   subround x68\n\
+                    \x20     settle x68\n\
+                    \x20     recompute x68\n\
+                    \x20     frontier.refile x68\n";
+    assert_eq!(tree, expected);
+}
+
+#[test]
+fn span_tree_of_a_fixed_offline_ktruss_run_is_pinned() {
+    // The offline step hands its apply output straight to the next
+    // subround: no hash bag, so no refile span.
+    let g = gen::barabasi_albert(300, 3, 7);
+    let config = Config::with_techniques(kcore::Techniques::offline());
+    let tree = tree_of(|| Decomposition::ktruss(&g).exact_config(config).run());
+    let expected = format!(
+        "{TRI_BUILD}\
+         k-truss x1\n\
+         \x20 round x3\n\
+         \x20   bucket.drain x3\n\
+         \x20   subround x6\n\
+         \x20     settle x6\n\
+         \x20     offline.gather x6\n\
+         \x20     offline.histogram x6\n\
+         \x20     offline.apply x6\n"
+    );
+    assert_eq!(tree, expected);
 }
