@@ -77,13 +77,13 @@ impl Config {
     /// to `supported` tokens; known-but-unsupported tokens are dropped,
     /// unknown tokens still panic.
     ///
-    /// This is the env-override entry for problem facades whose axes
-    /// reject some techniques outright ([`crate::ApproxDensest`],
-    /// [`crate::KhCore`]): the engine panics on an *explicitly*
+    /// This is the env-override entry for problems whose axes reject
+    /// some techniques outright ([`crate::Decomposition::approx_densest`],
+    /// [`crate::Decomposition::khcore`]): the engine panics on an *explicitly*
     /// configured sampling/offline block under threshold rounds or
     /// recompute incidences, but a CI matrix leg forcing
     /// `KCORE_TECHNIQUES=offline` over the whole suite is a blanket
-    /// request, not a per-problem one — those facades honor the tokens
+    /// request, not a per-problem one — those problems honor the tokens
     /// that apply to them and drop the rest, so the forced legs still
     /// exercise every problem instead of tripping the combination
     /// guard.

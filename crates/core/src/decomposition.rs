@@ -22,11 +22,6 @@
 //! assert!(Decomposition::khcore(&g, 2).run().kmax() >= 2);
 //! ```
 //!
-//! This replaces the per-problem constructor sprawl (`KCore::new`,
-//! `KTruss::new`, ...), each of which hand-rolled the same env/config
-//! handling; those entry points remain as thin deprecated shims for one
-//! release.
-//!
 //! # Configuration resolution
 //!
 //! [`Decomposition::config`] (or the field shortcuts
@@ -222,8 +217,8 @@ impl<'g> Decomposition<'g, KtrussSpec<'g>> {
     pub fn run(self) -> TrussnessResult {
         let config = self.resolve(None);
         match self.problem.ctx {
-            Some(ctx) => ktruss::run_ktruss_with_ctx(self.g, ctx, config),
-            None => ktruss::run_ktruss(self.g, config),
+            Some(ctx) => ktruss::run_ktruss(self.g, ctx, config),
+            None => ktruss::run_ktruss(self.g, &TriangleCtx::build(self.g), config),
         }
     }
 }
@@ -295,34 +290,6 @@ mod tests {
     use crate::bz::bz_coreness;
     use crate::config::{Sampling, Vgc};
     use kcore_graph::gen;
-
-    #[test]
-    fn builder_matches_the_per_problem_facades() {
-        #![allow(deprecated)]
-        use crate::{ApproxDensest, DensestSubgraph, KCore, KTruss, KhCore};
-        let g = gen::barabasi_albert(300, 3, 17);
-        let config = Config { bucket_strategy: BucketStrategy::Fixed(16), ..Config::default() };
-        assert_eq!(
-            Decomposition::kcore(&g).exact_config(config).run().coreness(),
-            KCore::with_exact_config(config).run(&g).coreness()
-        );
-        assert_eq!(
-            Decomposition::ktruss(&g).exact_config(config).run().trussness(),
-            KTruss::with_exact_config(config).run(&g).trussness()
-        );
-        assert_eq!(
-            Decomposition::densest(&g).exact_config(config).run().density(),
-            DensestSubgraph::with_exact_config(config).run(&g).density()
-        );
-        assert_eq!(
-            Decomposition::khcore(&g, 2).exact_config(config).run().kh_coreness(),
-            KhCore::with_exact_config(config, 2).run(&g).kh_coreness()
-        );
-        assert_eq!(
-            Decomposition::approx_densest(&g, 0.5).exact_config(config).run().density(),
-            ApproxDensest::with_exact_config(config, 0.5).run(&g).density()
-        );
-    }
 
     #[test]
     fn builder_shortcuts_stage_config_fields() {

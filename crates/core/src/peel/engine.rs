@@ -1,63 +1,45 @@
-//! The problem-agnostic peel engine.
+//! The problem-agnostic peel engine: one round loop, two plug-in axes.
 //!
 //! The paper presents its work-efficient bucketing framework (Alg. 1 +
-//! the Sec. 4 techniques) in terms of k-core, but nothing in the hot
-//! loop is vertex-specific: it peels an *element universe* by monotone
-//! integer *priorities*, where settling an element lowers the priorities
-//! of incident elements through a clamped-decrement rule. This module
-//! factors that skeleton out:
+//! the Sec. 4 techniques) in terms of k-core, but nothing in the loop
+//! is vertex-specific: it peels an *element universe* by monotone
+//! integer *priorities*, where settling an element lowers the
+//! priorities of incident elements through a clamped update.
+//! [`PeelProblem`] is the plug-in surface — universe size, initial
+//! priorities, the decrement rule (an [`Incidence`]), an optional
+//! settle action, and result assembly. k-core, k-truss, the densest
+//! subgraph variants and the (k,h)-core are clients (see
+//! [`crate::problems`]).
 //!
-//! * [`PeelProblem`] — the plug-in surface: universe size, initial
-//!   priorities, the decrement rule (an [`Incidence`]), an optional
-//!   per-settle action, and result assembly. k-core, k-truss, and
-//!   densest-subgraph are clients (see [`crate::problems`]).
-//! * [`PeelEngine`] — owns everything else: the round/subround loop,
-//!   the hash-bag frontier, the pluggable bucket structure, adaptive
-//!   strategy upgrades, and the sampling / VGC / offline techniques
-//!   with their Las-Vegas restart loop.
+//! [`PeelEngine::run`] maps a problem and a [`Config`] onto the single
+//! round loop, `run_rounds`, which owns the priority and settle arrays,
+//! the bucket structure, the spans and the run statistics. What varies
+//! is plugged in along two axes:
 //!
-//! Three incidence flavors cover the known peeling problems:
+//! * **Frontier source** — the problem's [`RoundPolicy`].
+//!   [`RoundPolicy::MinBucket`] makes round `k` peel the elements of
+//!   priority exactly `k`, clamping at `k`. [`RoundPolicy::Threshold`]
+//!   computes a peel threshold `t` from the live [`RoundAggregates`],
+//!   drains everything at or below it in one bulk step
+//!   ([`kcore_buckets::BucketStructure::drain_threshold`]) and clamps
+//!   at `t`: the `O(log n)`-round regime of the (2+ε)-approximate
+//!   densest subgraph.
+//! * **Subround step** — chosen by the incidence and the peel mode.
+//!   The *fused unit* step ([`Incidence::Unit`]: k-core, densest)
+//!   settles and decrements in one task per element with one global
+//!   sync, and carries the sampling and VGC hooks. The *two-phase*
+//!   step ([`Incidence::Snapshot`]: k-truss; [`Incidence::Recompute`]:
+//!   the (k,h)-core) stamps the frontier settled, then applies the rule
+//!   against the frozen [`SettleView`] through the generalized CAS
+//!   clamp [`clamped_update`] — two syncs. The *offline* step
+//!   ([`crate::PeelMode::Offline`]) gathers, histograms and applies the
+//!   frontier's decrements in bulk — three syncs.
 //!
-//! * [`Incidence::Unit`] — "each settled incident element costs one
-//!   priority unit" over static adjacency lists (k-core: vertex degree
-//!   over neighbors; densest-subgraph: the same). The atomic clamped
-//!   decrement makes settle + decrement race-free in a single fused
-//!   task, so subrounds need one global sync, VGC may chase local
-//!   chains, and the sampling scheme can approximate hub priorities.
-//! * [`Incidence::Snapshot`] — the decrement rule depends on *other*
-//!   elements' settle state (k-truss: a dying edge decrements the other
-//!   two edges of a triangle only while the triangle is still alive,
-//!   with tie-breaks among same-subround deaths). The engine then runs
-//!   each subround in two phases — stamp every frontier element
-//!   settled, global barrier, evaluate the rule against the frozen
-//!   [`SettleView`] — charging 2 syncs per subround in the burdened
-//!   span. Sampling and VGC assume unit semantics and are gated off.
-//! * [`Incidence::Recompute`] — a settle does not *decrement* incident
-//!   priorities; it invalidates them, and the problem *recomputes* each
-//!   affected priority from scratch over the survivors ((k,h)-core:
-//!   the live h-hop ball size, an h-index-style quantity that can drop
-//!   by many units per death). The engine runs the same two-phase
-//!   subround as snapshot rules and enforces monotone decrease with the
-//!   generalized CAS clamp [`clamped_update`] — the unit
-//!   [`clamped_decrement`] is now just its `d - 1` special case.
-//!
-//! Orthogonally, a [`RoundPolicy`] chooses the round structure:
-//!
-//! * [`RoundPolicy::MinBucket`] — today's behavior, bit-identical:
-//!   round `k` peels the elements of priority exactly `k`.
-//! * [`RoundPolicy::Threshold`] — each round batches a whole priority
-//!   range: the policy computes a peel threshold `t` from the live
-//!   [`RoundAggregates`] (remaining elements, remaining priority sum),
-//!   the bucket structure drains everything at or below `t` in one
-//!   step ([`kcore_buckets::BucketStructure::drain_threshold`]), and
-//!   the clamp floor for the round is `t` instead of `k`. This is the
-//!   `O(log n)`-round regime of the (2+ε)-approximate densest
-//!   subgraph. Unit incidences only.
-//!
-//! Not every technique composes with the new axes: sampling and the
-//! offline driver are rejected with a panic (see
-//! [`PeelEngine::run`]); VGC composes with threshold rounds and is
-//! ignored (like for snapshot rules) under recompute incidences.
+//! Not every technique composes with every axis: sampling and the
+//! offline step require `MinBucket` with a unit or snapshot incidence
+//! and are rejected with a panic otherwise (see [`PeelEngine::run`]);
+//! VGC composes with threshold rounds and is ignored by the two-phase
+//! step.
 
 use super::sampling::SamplingState;
 use super::{offline, vgc};
@@ -183,14 +165,7 @@ pub struct SettleView<'a> {
     current: u32,
 }
 
-impl<'a> SettleView<'a> {
-    /// Crate-internal constructor: `current` identifies this subround's
-    /// stamps as peers. Only the engine's drivers build views — the
-    /// settle phase must have completed first.
-    pub(crate) fn new(stamps: &'a [AtomicU32], current: u32) -> Self {
-        Self { stamps, current }
-    }
-
+impl SettleView<'_> {
     /// Settle state of element `e` in this subround's snapshot.
     #[inline]
     pub fn state(&self, e: u32) -> ElementState {
@@ -256,13 +231,13 @@ pub trait RecomputeRule: Sync {
 /// problem's clamped-decrement rule over its incidence relation.
 pub enum Incidence<'p> {
     /// One unit per settled incident element over static lists; peeled
-    /// by the fused single-sync driver with sampling + VGC available.
+    /// by the fused single-sync step with sampling + VGC available.
     Unit(&'p dyn UnitIncidence),
     /// Arbitrary rule against a consistent settle snapshot; peeled by
-    /// the two-phase driver (settle barrier before rule evaluation).
+    /// the two-phase step (settle barrier before rule evaluation).
     Snapshot(&'p dyn SnapshotRule),
     /// Priorities recomputed from scratch over the survivors; peeled by
-    /// the two-phase driver with the generalized CAS clamp
+    /// the two-phase step with the generalized CAS clamp
     /// ([`clamped_update`]) enforcing monotone decrease.
     Recompute(&'p dyn RecomputeRule),
 }
@@ -364,8 +339,8 @@ pub trait PeelProblem: Sync {
 ///
 /// The engine runs `config` exactly as given — apply
 /// [`Config::apply_env_overrides`] first if the `KCORE_TECHNIQUES`
-/// override should be honored (the problem facades in
-/// [`crate::problems`] do this in their `new` constructors).
+/// override should be honored ([`crate::Decomposition`] does this at
+/// `run` unless `exact_config` was used).
 pub struct PeelEngine<'p, P: PeelProblem> {
     problem: &'p P,
     config: Config,
@@ -412,12 +387,7 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
                     self.problem.name(),
                     self.problem.num_elements() as u64,
                 );
-                match config.techniques.mode {
-                    PeelMode::Online => online_run(&config, self.problem, &mut stats),
-                    PeelMode::Offline(off) => {
-                        Ok(offline::run(&config, off, self.problem, &mut stats))
-                    }
-                }
+                self.attempt(&config, &mut stats)
             };
             match attempt {
                 Ok(rounds) => {
@@ -429,6 +399,30 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
                     restarts += 1;
                     config.techniques.sampling = None;
                 }
+            }
+        }
+    }
+
+    /// One attempt: maps the peel mode and the problem's incidence to a
+    /// subround step, and runs the round loop with the problem's round
+    /// policy as the frontier source.
+    fn attempt(&self, config: &Config, stats: &mut RunStats) -> Result<Vec<u32>, Polluted> {
+        let problem = self.problem;
+        let n = problem.num_elements();
+        let init = problem.init_priorities();
+        let policy = problem.round_policy();
+        match (config.techniques.mode, problem.incidence()) {
+            (PeelMode::Offline(off), incidence) => {
+                let step = offline::OfflineStep::new(off, incidence, n);
+                run_rounds(config, problem, &policy, init, step, stats)
+            }
+            (PeelMode::Online, Incidence::Unit(inc)) => {
+                let step = FusedStep::new(config, inc, &init, stats);
+                run_rounds(config, problem, &policy, init, step, stats)
+            }
+            (PeelMode::Online, incidence) => {
+                let step = TwoPhaseStep::new(incidence, n);
+                run_rounds(config, problem, &policy, init, step, stats)
             }
         }
     }
@@ -470,169 +464,304 @@ pub(crate) fn validate_combination(
     }
 }
 
-/// Swaps the adaptive strategy's flat array for HBS once round `k`
-/// reaches θ. Shared by the online and offline drivers.
-pub(crate) fn upgrade_adaptive_if_due(
-    bucket: &mut Box<dyn BucketStructure>,
-    pending: &mut bool,
-    k: u32,
-    theta: u32,
-    n: usize,
-    view: &LiveView<'_>,
-) {
-    if *pending && k >= theta {
-        let live = pack_index(n, |v| view.alive(v as u32));
-        let entries = live.iter().map(|&v| (v, view.key(v)));
-        *bucket = Box::new(HierarchicalBuckets::with_entries(k, entries));
-        *pending = false;
-    }
-}
-
-/// Shared references threaded through one fused (unit-incidence)
-/// subround's parallel peel, and the sampling recounts it triggers.
-pub(crate) struct OnlineCtx<'a, P: PeelProblem> {
+/// The round a subround step peels in: the problem, the live priority
+/// and settle arrays, the bucket structure, and the round's settle
+/// value and clamp floor.
+pub(crate) struct Round<'a, P> {
     pub(crate) problem: &'a P,
-    pub(crate) inc: &'a dyn UnitIncidence,
     pub(crate) prio: &'a [AtomicU32],
     pub(crate) settled: &'a [AtomicU32],
-    pub(crate) bag: &'a HashBag,
     pub(crate) bucket: &'a dyn BucketStructure,
-    pub(crate) sampling: Option<&'a SamplingState>,
-    pub(crate) counters: &'a TechniqueCounters,
-    /// VGC chain bound; 0 disables chasing.
-    pub(crate) chain_limit: u32,
+    pub(crate) collect_stats: bool,
+    /// The round index, recorded as the settle round of its elements.
+    pub(crate) index: u32,
+    /// The clamp floor: the index under [`RoundPolicy::MinBucket`], the
+    /// round's threshold under [`RoundPolicy::Threshold`].
+    pub(crate) floor: u32,
 }
 
-/// The online driver: dispatches on the problem's round policy and
-/// incidence flavor (unsupported pairings were rejected up front by
-/// [`validate_combination`]).
-fn online_run<P: PeelProblem>(
-    config: &Config,
-    problem: &P,
-    stats: &mut RunStats,
-) -> Result<Vec<u32>, Polluted> {
-    match (problem.round_policy(), problem.incidence()) {
-        (RoundPolicy::MinBucket, Incidence::Unit(inc)) => online_unit(config, problem, inc, stats),
-        (RoundPolicy::Threshold(policy), Incidence::Unit(inc)) => {
-            Ok(online_threshold(config, problem, inc, policy, stats))
+impl<P> Round<'_, P> {
+    /// Incident arcs of `frontier` — the work a unit-incidence step
+    /// charges on top of the frontier itself — or 0 without stats.
+    pub(crate) fn arcs(&self, inc: &dyn UnitIncidence, frontier: &[u32]) -> u64 {
+        if !self.collect_stats {
+            return 0;
         }
-        (RoundPolicy::MinBucket, Incidence::Snapshot(rule)) => {
-            Ok(online_snapshot(config, problem, rule, stats))
-        }
-        (RoundPolicy::MinBucket, Incidence::Recompute(rule)) => {
-            Ok(online_recompute(config, problem, rule, stats))
-        }
-        (RoundPolicy::Threshold(_), _) => unreachable!("rejected by validate_combination"),
+        frontier.iter().map(|&v| inc.num_incident(v) as u64).sum()
     }
 }
 
-/// Fused driver for unit incidences: Alg. 1 with the sampling and VGC
-/// hooks — settle and decrement run in one task per frontier element,
-/// one global sync per subround.
-fn online_unit<P: PeelProblem>(
+/// What one subround hands back to the round loop.
+pub(crate) struct Wave {
+    /// The next subround's frontier (empty ends the round).
+    pub(crate) next: Vec<u32>,
+    /// Elements settled beyond the frontier itself (VGC chases).
+    pub(crate) chased: usize,
+    /// Work beyond one unit per frontier element; read only when stats
+    /// are collected.
+    pub(crate) work: u64,
+    /// Longest sequential chain, the burdened span's `chain` term.
+    pub(crate) chain: u64,
+}
+
+/// How one subround peels its frontier — the step axis of
+/// [`run_rounds`]. Statically dispatched, so the fused step's
+/// `peel_from` stays monomorphised per problem.
+pub(crate) trait Step {
+    /// Global syncs one subround costs in the burdened span.
+    const SYNCS: u64;
+
+    /// Settles `frontier` and applies the decrement rule.
+    fn subround<P: PeelProblem>(&mut self, frontier: &[u32], round: &Round<'_, P>) -> Wave;
+
+    /// Checks a round's initial frontier before it peels.
+    fn round_start<P: PeelProblem>(&mut self, _: &[u32], _: &Round<'_, P>) -> Result<(), Polluted> {
+        Ok(())
+    }
+
+    /// Called when a round's frontier runs dry; a non-empty result
+    /// re-opens the round.
+    fn round_end<P: PeelProblem>(&mut self, _: &Round<'_, P>) -> Vec<u32> {
+        Vec::new()
+    }
+
+    /// Folds run-long step counters into the stats.
+    fn finish(&self, _: &mut RunStats) {}
+}
+
+/// The one round loop (Alg. 1), shared by every problem and technique:
+/// the frontier source is `policy`, the subround step is `step` (see
+/// the module docs). It owns the priority and settle arrays, the bucket
+/// structure and its adaptive HBS upgrade, the stall check, the
+/// `round` → `bucket.drain` → `subround` span nesting, and the
+/// round/subround accounting.
+///
+/// Settle rounds record the round *index*. Under threshold rounds,
+/// survivors always end a round with priority `> t` (the clamp only
+/// ever stops a decrement exactly at the threshold, and elements that
+/// reach it are peeled), so live priorities stay exact across rounds
+/// and the effective thresholds strictly increase: `max(policy value,
+/// floor)` with `floor = t_{r-1} + 1`. Even a pathological policy
+/// therefore terminates — each round either settles elements or raises
+/// the floor, and a threshold at or above the maximum priority drains
+/// everything. Under `MinBucket` the floor is simply the round index.
+fn run_rounds<P: PeelProblem, S: Step>(
     config: &Config,
     problem: &P,
-    inc: &dyn UnitIncidence,
+    policy: &RoundPolicy<'_>,
+    init: Vec<u32>,
+    mut step: S,
     stats: &mut RunStats,
 ) -> Result<Vec<u32>, Polluted> {
-    let n = problem.num_elements();
-    let init = problem.init_priorities();
+    let n = init.len();
     let prio: Vec<AtomicU32> = init.iter().map(|&d| AtomicU32::new(d)).collect();
     let settled: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
-
-    let mut sampling =
-        config.techniques.sampling.and_then(|cfg| SamplingState::build(inc, &init, cfg));
-    if let Some(s) = &sampling {
-        stats.sampled_vertices = s.num_sampled() as u64;
-    }
-    let counters = TechniqueCounters::new();
-    let chain_limit = config.techniques.vgc.map_or(0, |v| v.chain_limit);
-
     // Adaptive starts on the flat array and upgrades to HBS at the
     // θ-core; the other strategies are fixed for the whole run.
     let mut bucket: Box<dyn BucketStructure> = config.bucket_strategy.build(&init);
     let mut adaptive_pending = matches!(config.bucket_strategy, BucketStrategy::Adaptive);
-
-    let mut bag = HashBag::new(n);
+    // Threshold rounds may need one round past the top priority to
+    // drain it; exact rounds end at it.
+    let max_prio = u64::from(*init.iter().max().unwrap_or(&0));
+    let last_round = max_prio + u64::from(matches!(policy, RoundPolicy::Threshold(_)));
     let collect_stats = config.collect_stats;
-    let max_prio = *init.iter().max().unwrap_or(&0);
+    let view = LiveView { prio: &prio, settled: &settled };
     let mut remaining = n;
-    let mut k = 0u32;
+    let mut floor = 0u32; // lower bound on live priorities
+    let mut round = 0u32;
     while remaining > 0 {
-        assert!(k <= max_prio, "peeling stalled: {remaining} elements left after round {max_prio}");
-        let _round = span!("round", k);
-        let view = LiveView { prio: &prio, settled: &settled };
-        upgrade_adaptive_if_due(
-            &mut bucket,
-            &mut adaptive_pending,
-            k,
-            config.adaptive_theta,
-            n,
-            &view,
+        assert!(
+            u64::from(round) <= last_round,
+            "peeling stalled: {remaining} elements left after round {last_round}"
         );
-        let mut frontier = {
-            let _drain = span!("bucket.drain", k);
-            bucket.next_frontier(k, &view)
-        };
-        if let Some(s) = &sampling {
-            // Sample-mode elements surface with their last recounted
-            // priority; confirm it exactly before peeling them.
-            s.validate_frontier(&frontier, k, inc, &settled, &counters)?;
+        let _round = span!("round", round);
+        if adaptive_pending && floor >= config.adaptive_theta {
+            let live = pack_index(n, |v| view.alive(v as u32));
+            let entries = live.iter().map(|&v| (v, view.key(v)));
+            bucket = Box::new(HierarchicalBuckets::with_entries(floor, entries));
+            adaptive_pending = false;
         }
+        let (t, mut frontier) = match policy {
+            RoundPolicy::MinBucket => {
+                let _drain = span!("bucket.drain", floor);
+                (floor, bucket.next_frontier(floor, &view))
+            }
+            RoundPolicy::Threshold(policy) => {
+                // The live aggregates: a threshold run has O(log n)
+                // rounds, so re-scanning the priority array at each
+                // boundary is noise next to the peel itself — and keeps
+                // the subround hot path free of aggregate bookkeeping
+                // (survivor priorities are exact, so the scan is the
+                // true live sum).
+                let agg_span = span!("aggregates");
+                let priority_sum: u64 = (0..n as u32)
+                    .into_par_iter()
+                    .map(|v| if view.alive(v) { u64::from(view.key(v)) } else { 0 })
+                    .sum();
+                drop(agg_span);
+                let agg = RoundAggregates { round, remaining, priority_sum, floor };
+                let t = policy.threshold(&agg).max(floor);
+                let _drain = span!("bucket.drain", t);
+                (t, bucket.drain_threshold(t, &view))
+            }
+        };
+        let rd = Round {
+            problem,
+            prio: &prio,
+            settled: &settled,
+            bucket: &*bucket,
+            collect_stats,
+            index: round,
+            floor: t,
+        };
+        step.round_start(&frontier, &rd)?;
         let mut subrounds = 0u32;
         loop {
             if frontier.is_empty() {
-                // End-of-round validation: exact recounts of sample-mode
-                // elements near the boundary (all of them under
-                // `Validation::Full`). Anything caught at `<= k` belongs
-                // to this round and re-opens it.
-                let caught = match sampling.as_mut() {
-                    Some(s) => s.validate_round_end(k, inc, &prio, &settled, &*bucket, &counters),
-                    None => Vec::new(),
-                };
-                if caught.is_empty() {
+                frontier = step.round_end(&rd);
+                if frontier.is_empty() {
                     break;
                 }
-                frontier = caught;
             }
             subrounds += 1;
             let _subround = span!("subround", frontier.len());
-            counters.reset_subround();
             remaining -= frontier.len();
+            let wave = step.subround(&frontier, &rd);
+            remaining -= wave.chased;
             if collect_stats {
                 stats.max_frontier = stats.max_frontier.max(frontier.len());
-                let arcs: usize = frontier.iter().map(|&v| inc.num_incident(v)).sum();
-                stats.work += (frontier.len() + arcs) as u64;
+                stats.work += frontier.len() as u64 + wave.work;
+                stats.record_subround(S::SYNCS, wave.chain);
             }
-            let ctx = OnlineCtx {
-                problem,
-                inc,
-                prio: &prio,
-                settled: &settled,
-                bag: &bag,
-                bucket: &*bucket,
-                sampling: sampling.as_ref(),
-                counters: &counters,
-                chain_limit,
-            };
-            frontier.par_iter().for_each(|&v| vgc::peel_from(&ctx, v, k, k));
-            remaining -= counters.chased.load(Ordering::Relaxed) as usize;
-            if collect_stats {
-                stats.work += counters.chased_work.load(Ordering::Relaxed);
-                stats.record_subround(1, counters.chain.get().max(1));
-            }
-            frontier = {
-                let _refile = span!("frontier.refile");
-                bag.extract_all()
-            };
+            frontier = wave.next;
         }
         if collect_stats {
             stats.record_round(subrounds);
         }
-        k += 1;
+        floor = t.saturating_add(1);
+        round += 1;
     }
-    counters.merge_sampling_into(stats);
+    step.finish(stats);
     Ok(settled.into_iter().map(AtomicU32::into_inner).collect())
+}
+
+/// Hands the hash bag's contents to the next subround.
+fn refile(bag: &mut HashBag) -> Vec<u32> {
+    let _refile = span!("frontier.refile");
+    bag.extract_all()
+}
+
+/// Per-element subround stamps behind the [`SettleView`] of the
+/// two-phase and offline steps: 0 = never settled; ids start at 1 and
+/// never reset, so [`SettleView::state`] tells peers from the dead.
+/// Empty for steps that need no snapshot (offline unit incidences).
+pub(crate) struct Stamps {
+    ids: Vec<AtomicU32>,
+    current: u32,
+}
+
+impl Stamps {
+    pub(crate) fn new(n: usize) -> Self {
+        Self { ids: (0..n).map(|_| AtomicU32::new(0)).collect(), current: 0 }
+    }
+
+    /// Settles the whole frontier — the first phase of the two-phase
+    /// and offline steps — under a fresh subround id, and returns the
+    /// snapshot the second phase reads. Every stamp lands first.
+    pub(crate) fn settle<P: PeelProblem>(
+        &mut self,
+        frontier: &[u32],
+        round: &Round<'_, P>,
+    ) -> SettleView<'_> {
+        self.current += 1;
+        let (ids, id) = (&self.ids[..], self.current);
+        let _settle = span!("settle", frontier.len());
+        frontier.par_iter().for_each(|&e| {
+            round.settled[e as usize].store(round.index, Ordering::Relaxed);
+            if !ids.is_empty() {
+                ids[e as usize].store(id, Ordering::Relaxed);
+            }
+            round.problem.on_settle(e, round.index);
+        });
+        SettleView { stamps: ids, current: id }
+    }
+}
+
+/// The fused step for unit incidences: settle and decrement run in one
+/// task per frontier element ([`vgc::peel_from`]), one global sync per
+/// subround. Sampling validates every round's initial frontier and may
+/// re-open a round at its end; VGC chases local chains.
+pub(crate) struct FusedStep<'p> {
+    pub(crate) inc: &'p dyn UnitIncidence,
+    pub(crate) sampling: Option<SamplingState>,
+    pub(crate) counters: TechniqueCounters,
+    /// VGC chain bound; 0 disables chasing.
+    pub(crate) chain_limit: u32,
+    pub(crate) bag: HashBag,
+}
+
+impl<'p> FusedStep<'p> {
+    fn new(
+        config: &Config,
+        inc: &'p dyn UnitIncidence,
+        init: &[u32],
+        stats: &mut RunStats,
+    ) -> Self {
+        let sampling =
+            config.techniques.sampling.and_then(|cfg| SamplingState::build(inc, init, cfg));
+        if let Some(s) = &sampling {
+            stats.sampled_vertices = s.num_sampled() as u64;
+        }
+        Self {
+            inc,
+            sampling,
+            counters: TechniqueCounters::new(),
+            chain_limit: config.techniques.vgc.map_or(0, |v| v.chain_limit),
+            bag: HashBag::new(init.len()),
+        }
+    }
+}
+
+impl Step for FusedStep<'_> {
+    const SYNCS: u64 = 1;
+
+    fn subround<P: PeelProblem>(&mut self, frontier: &[u32], round: &Round<'_, P>) -> Wave {
+        self.counters.reset_subround();
+        let arcs = round.arcs(self.inc, frontier);
+        let this = &*self;
+        frontier.par_iter().for_each(|&v| vgc::peel_from(round, this, v));
+        let counters = &self.counters;
+        Wave {
+            chased: counters.chased.load(Ordering::Relaxed) as usize,
+            work: arcs + counters.chased_work.load(Ordering::Relaxed),
+            chain: counters.chain.get().max(1),
+            next: refile(&mut self.bag),
+        }
+    }
+
+    fn round_start<P: PeelProblem>(
+        &mut self,
+        frontier: &[u32],
+        round: &Round<'_, P>,
+    ) -> Result<(), Polluted> {
+        // Sample-mode elements surface with their last recounted
+        // priority; confirm it exactly before peeling them.
+        let Some(s) = &self.sampling else { return Ok(()) };
+        s.validate_frontier(frontier, round, self.inc, &self.counters)
+    }
+
+    fn round_end<P: PeelProblem>(&mut self, round: &Round<'_, P>) -> Vec<u32> {
+        // End-of-round validation: exact recounts of sample-mode
+        // elements near the boundary (all of them under
+        // `Validation::Full`). Anything caught at `<= k` belongs to
+        // this round and re-opens it.
+        let Some(s) = &mut self.sampling else { return Vec::new() };
+        s.validate_round_end(round, self.inc, &self.counters)
+    }
+
+    fn finish(&self, stats: &mut RunStats) {
+        self.counters.merge_sampling_into(stats);
+    }
 }
 
 /// The generalized CAS clamp loop: lowers `slot` to
@@ -645,9 +774,8 @@ fn online_unit<P: PeelProblem>(
 /// round `k` under [`RoundPolicy::MinBucket`], the round threshold
 /// under [`RoundPolicy::Threshold`].
 ///
-/// The unit decrement ([`clamped_decrement`]) is the `|d| d - 1`
-/// special case; recompute incidences pass the freshly recomputed
-/// priority as a constant proposal.
+/// Unit decrements pass `|d| d - 1`; recompute incidences pass the
+/// freshly recomputed priority as a constant proposal.
 #[inline]
 pub(crate) fn clamped_update(
     slot: &AtomicU32,
@@ -670,349 +798,88 @@ pub(crate) fn clamped_update(
     .map(|prev| (prev, stored))
 }
 
-/// Clamped unit decrement of `slot` while above `k`: returns the
-/// replaced value, or `None` when the value already sits at or below
-/// `k`. The historical hot-path form of [`clamped_update`].
-#[inline]
-pub(crate) fn clamped_decrement(slot: &AtomicU32, k: u32) -> Option<u32> {
-    clamped_update(slot, k, |d| d - 1).map(|(prev, _)| prev)
+/// Phase 2 of a [`TwoPhaseStep`].
+enum Apply<'p> {
+    /// Snapshot rules: one clamped unit decrement per emitted target.
+    Decrement(&'p dyn SnapshotRule),
+    /// Recompute rules: each affected element is recomputed from the
+    /// snapshot at most once per subround — `claimed` holds the id of
+    /// the subround that last recomputed it.
+    Recompute(&'p dyn RecomputeRule, Vec<AtomicU32>),
 }
 
-/// Threshold-batched driver for unit incidences: round `r` computes a
-/// peel threshold `t_r` from the live aggregates, drains every element
-/// at or below it in one bulk bucket step, and cascades the round with
-/// the clamp floored at `t_r` — an element whose priority is dragged
-/// down to the threshold mid-round settles in the same round. Settle
-/// rounds record the round *index*, not the threshold.
-///
-/// Because survivors always end a round with priority `> t_r` (the
-/// clamp only ever stops a decrement exactly at the threshold, and
-/// elements that reach it are peeled), live priorities stay exact
-/// across rounds and the effective thresholds strictly increase:
-/// `max(policy value, floor)` with `floor = t_{r-1} + 1`. Even a
-/// pathological policy therefore terminates — each round either
-/// settles elements or raises the floor, and a threshold at or above
-/// the maximum priority drains everything. VGC applies (the chase
-/// clamps to the threshold); sampling and offline were rejected up
-/// front.
-fn online_threshold<P: PeelProblem>(
-    config: &Config,
-    problem: &P,
-    inc: &dyn UnitIncidence,
-    policy: &dyn ThresholdPolicy,
-    stats: &mut RunStats,
-) -> Vec<u32> {
-    let n = problem.num_elements();
-    let init = problem.init_priorities();
-    let prio: Vec<AtomicU32> = init.iter().map(|&d| AtomicU32::new(d)).collect();
-    let settled: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
-
-    let counters = TechniqueCounters::new();
-    let chain_limit = config.techniques.vgc.map_or(0, |v| v.chain_limit);
-
-    let mut bucket: Box<dyn BucketStructure> = config.bucket_strategy.build(&init);
-    let mut adaptive_pending = matches!(config.bucket_strategy, BucketStrategy::Adaptive);
-
-    let mut bag = HashBag::new(n);
-    let collect_stats = config.collect_stats;
-    let max_prio = *init.iter().max().unwrap_or(&0);
-    let mut remaining = n;
-    let mut floor_next = 0u32; // lower bound on live priorities
-    let mut round = 0u32;
-    while remaining > 0 {
-        assert!(
-            u64::from(round) <= u64::from(max_prio) + 1,
-            "threshold peeling stalled: {remaining} elements left after round {round}"
-        );
-        let _round = span!("round", round);
-        let view = LiveView { prio: &prio, settled: &settled };
-        upgrade_adaptive_if_due(
-            &mut bucket,
-            &mut adaptive_pending,
-            floor_next,
-            config.adaptive_theta,
-            n,
-            &view,
-        );
-        // The live aggregates: a threshold run has O(log n) rounds, so
-        // re-scanning the priority array at each boundary is noise next
-        // to the peel itself — and keeps the subround hot path free of
-        // aggregate bookkeeping (survivor priorities are exact, see the
-        // driver docs, so the scan is the true live sum).
-        let priority_sum: u64 = {
-            let _agg = span!("aggregates");
-            (0..n)
-                .into_par_iter()
-                .map(|v| {
-                    if settled[v].load(Ordering::Relaxed) == UNSET {
-                        prio[v].load(Ordering::Relaxed) as u64
-                    } else {
-                        0
-                    }
-                })
-                .sum()
-        };
-        let agg = RoundAggregates { round, remaining, priority_sum, floor: floor_next };
-        let t = policy.threshold(&agg).max(floor_next);
-        let mut frontier = {
-            let _drain = span!("bucket.drain", t);
-            bucket.drain_threshold(t, &view)
-        };
-        let mut subrounds = 0u32;
-        while !frontier.is_empty() {
-            subrounds += 1;
-            let _subround = span!("subround", frontier.len());
-            counters.reset_subround();
-            remaining -= frontier.len();
-            if collect_stats {
-                stats.max_frontier = stats.max_frontier.max(frontier.len());
-                let arcs: usize = frontier.iter().map(|&v| inc.num_incident(v)).sum();
-                stats.work += (frontier.len() + arcs) as u64;
-            }
-            let ctx = OnlineCtx {
-                problem,
-                inc,
-                prio: &prio,
-                settled: &settled,
-                bag: &bag,
-                bucket: &*bucket,
-                sampling: None,
-                counters: &counters,
-                chain_limit,
-            };
-            frontier.par_iter().for_each(|&v| vgc::peel_from(&ctx, v, round, t));
-            remaining -= counters.chased.load(Ordering::Relaxed) as usize;
-            if collect_stats {
-                stats.work += counters.chased_work.load(Ordering::Relaxed);
-                stats.record_subround(1, counters.chain.get().max(1));
-            }
-            frontier = {
-                let _refile = span!("frontier.refile");
-                bag.extract_all()
-            };
-        }
-        if collect_stats {
-            stats.record_round(subrounds);
-        }
-        floor_next = t.saturating_add(1);
-        round += 1;
-    }
-    settled.into_iter().map(AtomicU32::into_inner).collect()
-}
-
-/// Two-phase driver for recompute incidences: per subround, stamp the
+/// The two-phase step for snapshot and recompute incidences: stamp the
 /// whole frontier settled (phase 1), then — after the implicit global
-/// barrier — recompute the priorities the deaths may have lowered
-/// against the frozen snapshot and apply them through the generalized
-/// CAS clamp (phase 2). Each affected element is recomputed at most
-/// once per subround (a claim stamp deduplicates targets named by
-/// several deaths), and because `recompute` is a pure function of the
-/// snapshot, the stored value — and the whole decomposition — is
-/// deterministic. Two global syncs per subround in the burdened span;
-/// sampling and offline were rejected up front, VGC does not apply.
-fn online_recompute<P: PeelProblem>(
-    config: &Config,
-    problem: &P,
-    rule: &dyn RecomputeRule,
-    stats: &mut RunStats,
-) -> Vec<u32> {
-    let n = problem.num_elements();
-    let init = problem.init_priorities();
-    let prio: Vec<AtomicU32> = init.iter().map(|&d| AtomicU32::new(d)).collect();
-    let settled: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
-    // Subround stamps: 0 = never settled; ids start at 1 and never
-    // reset. `claimed` deduplicates per-subround recomputes.
-    let stamps: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let claimed: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let mut subround_id = 0u32;
+/// barrier — evaluate the rule against the frozen [`SettleView`] and
+/// lower priorities through the generalized CAS clamp (phase 2).
+/// Because the rule is a pure function of the snapshot, the stored
+/// values — and the whole decomposition — are deterministic. Two
+/// global syncs per subround; sampling and VGC do not apply.
+struct TwoPhaseStep<'p> {
+    apply: Apply<'p>,
+    stamps: Stamps,
+    bag: HashBag,
+}
 
-    let mut bucket: Box<dyn BucketStructure> = config.bucket_strategy.build(&init);
-    let mut adaptive_pending = matches!(config.bucket_strategy, BucketStrategy::Adaptive);
-
-    let mut bag = HashBag::new(n);
-    let collect_stats = config.collect_stats;
-    let recomputes = AtomicU64::new(0);
-    let max_prio = *init.iter().max().unwrap_or(&0);
-    let mut remaining = n;
-    let mut k = 0u32;
-    while remaining > 0 {
-        assert!(k <= max_prio, "peeling stalled: {remaining} elements left after round {max_prio}");
-        let _round = span!("round", k);
-        let view = LiveView { prio: &prio, settled: &settled };
-        upgrade_adaptive_if_due(
-            &mut bucket,
-            &mut adaptive_pending,
-            k,
-            config.adaptive_theta,
-            n,
-            &view,
-        );
-        let mut frontier = {
-            let _drain = span!("bucket.drain", k);
-            bucket.next_frontier(k, &view)
-        };
-        let mut subrounds = 0u32;
-        while !frontier.is_empty() {
-            subrounds += 1;
-            subround_id += 1;
-            let _subround = span!("subround", frontier.len());
-            remaining -= frontier.len();
-            if collect_stats {
-                stats.max_frontier = stats.max_frontier.max(frontier.len());
-                recomputes.store(0, Ordering::Relaxed);
+impl<'p> TwoPhaseStep<'p> {
+    fn new(incidence: Incidence<'p>, n: usize) -> Self {
+        let apply = match incidence {
+            Incidence::Snapshot(rule) => Apply::Decrement(rule),
+            Incidence::Recompute(rule) => {
+                Apply::Recompute(rule, (0..n).map(|_| AtomicU32::new(0)).collect())
             }
-            // Phase 1: settle — every stamp lands before any recompute.
-            let settle_span = span!("settle", frontier.len());
-            frontier.par_iter().for_each(|&e| {
-                settled[e as usize].store(k, Ordering::Relaxed);
-                stamps[e as usize].store(subround_id, Ordering::Relaxed);
-                problem.on_settle(e, k);
-            });
-            drop(settle_span);
-            // Phase 2: recompute affected priorities from the snapshot.
-            let recompute_span = span!("recompute", frontier.len());
-            let sview = SettleView { stamps: &stamps, current: subround_id };
-            frontier.par_iter().for_each(|&e| {
-                let mut local = 0u64;
-                rule.for_each_target(e, &mut |t| {
-                    if stamps[t as usize].load(Ordering::Relaxed) != 0 {
+            Incidence::Unit(_) => unreachable!("unit incidences take the fused step"),
+        };
+        Self { apply, stamps: Stamps::new(n), bag: HashBag::new(n) }
+    }
+}
+
+impl Step for TwoPhaseStep<'_> {
+    const SYNCS: u64 = 2;
+
+    fn subround<P: PeelProblem>(&mut self, frontier: &[u32], round: &Round<'_, P>) -> Wave {
+        let view = self.stamps.settle(frontier, round);
+        let (k, bag) = (round.floor, &self.bag);
+        let phase2 = match self.apply {
+            Apply::Decrement(_) => span!("rule", frontier.len()),
+            Apply::Recompute(..) => span!("recompute", frontier.len()),
+        };
+        let lowered = |t: u32, hit: Option<(u32, u32)>| {
+            if let Some((prev, stored)) = hit {
+                if stored == k {
+                    // t dropped to the round: peeled exactly once, in
+                    // the next subround.
+                    bag.insert(t);
+                } else {
+                    round.bucket.on_decrease(t, prev, stored, k);
+                }
+            }
+        };
+        let applied = AtomicU64::new(0);
+        frontier.par_iter().for_each(|&e| {
+            let mut local = 0u64;
+            match &self.apply {
+                Apply::Decrement(rule) => rule.for_each_decrement(e, k, &view, &mut |t| {
+                    local += 1;
+                    lowered(t, clamped_update(&round.prio[t as usize], k, |d| d - 1));
+                }),
+                Apply::Recompute(rule, claimed) => rule.for_each_target(e, &mut |t| {
+                    if !view.alive(t) {
                         return; // dead or dying alongside e
                     }
-                    if claimed[t as usize].swap(subround_id, Ordering::Relaxed) == subround_id {
+                    if claimed[t as usize].swap(view.current, Ordering::Relaxed) == view.current {
                         return; // another death already recomputed t
                     }
                     local += 1;
-                    let fresh = rule.recompute(t, &sview);
-                    if let Some((prev, stored)) = clamped_update(&prio[t as usize], k, |_| fresh) {
-                        if stored == k {
-                            // t dropped to the round: peeled exactly
-                            // once, in the next subround.
-                            bag.insert(t);
-                        } else {
-                            bucket.on_decrease(t, prev, stored, k);
-                        }
-                    }
-                });
-                if collect_stats && local > 0 {
-                    recomputes.fetch_add(local, Ordering::Relaxed);
-                }
-            });
-            drop(recompute_span);
-            if collect_stats {
-                stats.work += frontier.len() as u64 + recomputes.load(Ordering::Relaxed);
-                stats.record_subround(2, 1);
+                    let fresh = rule.recompute(t, &view);
+                    lowered(t, clamped_update(&round.prio[t as usize], k, |_| fresh));
+                }),
             }
-            frontier = {
-                let _refile = span!("frontier.refile");
-                bag.extract_all()
-            };
-        }
-        if collect_stats {
-            stats.record_round(subrounds);
-        }
-        k += 1;
+            if round.collect_stats && local > 0 {
+                applied.fetch_add(local, Ordering::Relaxed);
+            }
+        });
+        drop(phase2);
+        Wave { next: refile(&mut self.bag), chased: 0, work: applied.into_inner(), chain: 1 }
     }
-    settled.into_iter().map(AtomicU32::into_inner).collect()
-}
-
-/// Two-phase driver for snapshot rules: per subround, stamp the whole
-/// frontier settled (phase 1), then — after the implicit global barrier
-/// — evaluate the rule against the frozen snapshot and apply clamped
-/// decrements (phase 2). Two global syncs per subround in the burdened
-/// span; sampling and VGC do not apply.
-fn online_snapshot<P: PeelProblem>(
-    config: &Config,
-    problem: &P,
-    rule: &dyn SnapshotRule,
-    stats: &mut RunStats,
-) -> Vec<u32> {
-    let n = problem.num_elements();
-    let init = problem.init_priorities();
-    let prio: Vec<AtomicU32> = init.iter().map(|&d| AtomicU32::new(d)).collect();
-    let settled: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
-    // Subround stamps: 0 = never settled; ids start at 1 and never
-    // reset, so `SettleView::state` distinguishes peers from the dead.
-    let stamps: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let mut subround_id = 0u32;
-
-    let mut bucket: Box<dyn BucketStructure> = config.bucket_strategy.build(&init);
-    let mut adaptive_pending = matches!(config.bucket_strategy, BucketStrategy::Adaptive);
-
-    let mut bag = HashBag::new(n);
-    let collect_stats = config.collect_stats;
-    let emitted = AtomicU64::new(0);
-    let max_prio = *init.iter().max().unwrap_or(&0);
-    let mut remaining = n;
-    let mut k = 0u32;
-    while remaining > 0 {
-        assert!(k <= max_prio, "peeling stalled: {remaining} elements left after round {max_prio}");
-        let _round = span!("round", k);
-        let view = LiveView { prio: &prio, settled: &settled };
-        upgrade_adaptive_if_due(
-            &mut bucket,
-            &mut adaptive_pending,
-            k,
-            config.adaptive_theta,
-            n,
-            &view,
-        );
-        let mut frontier = {
-            let _drain = span!("bucket.drain", k);
-            bucket.next_frontier(k, &view)
-        };
-        let mut subrounds = 0u32;
-        while !frontier.is_empty() {
-            subrounds += 1;
-            subround_id += 1;
-            let _subround = span!("subround", frontier.len());
-            remaining -= frontier.len();
-            if collect_stats {
-                stats.max_frontier = stats.max_frontier.max(frontier.len());
-                emitted.store(0, Ordering::Relaxed);
-            }
-            // Phase 1: settle — every stamp lands before any rule runs.
-            let settle_span = span!("settle", frontier.len());
-            frontier.par_iter().for_each(|&e| {
-                settled[e as usize].store(k, Ordering::Relaxed);
-                stamps[e as usize].store(subround_id, Ordering::Relaxed);
-                problem.on_settle(e, k);
-            });
-            drop(settle_span);
-            // Phase 2: evaluate the rule against the frozen snapshot.
-            let rule_span = span!("rule", frontier.len());
-            let sview = SettleView { stamps: &stamps, current: subround_id };
-            frontier.par_iter().for_each(|&e| {
-                let mut local = 0u64;
-                rule.for_each_decrement(e, k, &sview, &mut |t| {
-                    local += 1;
-                    if let Some(prev) = clamped_decrement(&prio[t as usize], k) {
-                        if prev == k + 1 {
-                            // This emit moved t to k: t is peeled
-                            // exactly once, in the next subround.
-                            bag.insert(t);
-                        } else {
-                            bucket.on_decrease(t, prev, prev - 1, k);
-                        }
-                    }
-                });
-                if collect_stats && local > 0 {
-                    emitted.fetch_add(local, Ordering::Relaxed);
-                }
-            });
-            drop(rule_span);
-            if collect_stats {
-                stats.work += frontier.len() as u64 + emitted.load(Ordering::Relaxed);
-                stats.record_subround(2, 1);
-            }
-            frontier = {
-                let _refile = span!("frontier.refile");
-                bag.extract_all()
-            };
-        }
-        if collect_stats {
-            stats.record_round(subrounds);
-        }
-        k += 1;
-    }
-    settled.into_iter().map(AtomicU32::into_inner).collect()
 }

@@ -1,38 +1,37 @@
 //! The work-efficient parallel peeling layer: the problem-agnostic
 //! [`engine`] plus the paper's Sec. 4 techniques.
 //!
-//! Round `k` peels every element of priority `k` until none remain,
-//! then advances to `k + 1`. Within a round, each *subround* peels the
-//! current frontier in parallel:
+//! Every run is one round loop. Round `k` takes its initial frontier
+//! from a pluggable [`kcore_buckets::BucketStructure`] and peels it in
+//! *subrounds* until no element of priority `k` remains, then advances
+//! to `k + 1` (threshold rounds batch a whole priority range instead).
+//! Within a subround:
 //!
 //! 1. every frontier element settles (its settle round is `k`),
-//! 2. the problem's decrement rule lowers incident elements' priorities
-//!    through atomic **clamped decrements** — a priority decreases only
-//!    while it exceeds `k`, so it never drops below the current round
-//!    and every intermediate value is observed by exactly one
-//!    decrementing thread,
-//! 3. the unique thread that moves an element *to* `k` inserts it into
-//!    the parallel hash bag, which becomes the next subround's
-//!    frontier; decrements that stay above `k` are reported to the
-//!    bucket structure instead.
+//! 2. the problem's rule lowers incident elements' priorities through
+//!    atomic **clamped** updates — a priority decreases only while it
+//!    exceeds `k`, so it never drops below the current round and every
+//!    intermediate value is observed by exactly one updating thread,
+//! 3. the unique thread that moves an element *to* `k` files it into the
+//!    next subround's frontier; decrements that stay above `k` are
+//!    reported to the bucket structure instead.
 //!
-//! Initial per-round frontiers come from a pluggable
-//! [`kcore_buckets::BucketStructure`]; total work is `O(n + m)` plus
-//! the structure's maintenance cost (Thm. 3.1).
+//! Total work is `O(n + m)` plus the structure's maintenance cost
+//! (Thm. 3.1). How step 2 runs — fused with the settle, after a settle
+//! barrier, or as a bulk histogram — is the loop's *subround step*.
 //!
 //! The modules:
 //!
-//! * [`engine`] — [`engine::PeelProblem`] and [`engine::PeelEngine`]:
-//!   the subround loop, frontier plumbing, and technique dispatch. The
-//!   concrete problems (k-core, k-truss, densest subgraph) live in
-//!   [`crate::problems`].
+//! * [`engine`] — [`engine::PeelProblem`], [`engine::PeelEngine`], and
+//!   the round loop with its fused and two-phase steps. The concrete
+//!   problems live in [`crate::problems`].
 //! * [`sampling`] — Sec. 4.1's sampling scheme: high-priority elements
 //!   track an approximate priority over a hashed incidence sample, and
 //!   are only peeled after an exact recount.
 //! * [`vgc`] — Sec. 4.2's vertical granularity control: a worker chases
 //!   the local peel chain sequentially instead of bouncing every
 //!   frontier hit through the hash bag.
-//! * [`offline`] — the Julienne-style offline driver: per subround,
+//! * [`offline`] — the Julienne-style offline step: per subround,
 //!   gather the frontier's decrements, histogram them, and apply bulk
 //!   updates without per-target atomics.
 

@@ -1,10 +1,10 @@
 //! Offline (Julienne-style) histogram peeling, generic over
 //! [`PeelProblem`]s.
 //!
-//! The online driver discovers `DecreaseKey`s with per-target atomic
-//! decrements. The offline driver (Julienne's `Peel`, the paper's
+//! The fused online step discovers `DecreaseKey`s with per-target
+//! atomic decrements. The offline step (Julienne's `Peel`, the paper's
 //! online/offline ablation axis) avoids per-target atomics entirely:
-//! per subround it
+//! per subround of the engine's round loop it
 //!
 //! 1. settles the frontier (an exclusive phase, so later reads see a
 //!    stable snapshot),
@@ -23,7 +23,7 @@
 //!
 //! The price is synchronization: three global syncs per subround
 //! instead of one, which is exactly how the burdened span accounts it
-//! (`record_subround(3, …)`; Fig. 9's online/offline gap).
+//! (Fig. 9's online/offline gap).
 //!
 //! [`range_membership`] reuses the machinery for the *range* form: to
 //! extract one k-core, every element of priority `< k` is pulled in a
@@ -32,152 +32,96 @@
 //! individual core queries ([`crate::Decomposition::members`]).
 
 use super::engine::{
-    upgrade_adaptive_if_due, Incidence, LiveView, PeelProblem, SettleView, SnapshotRule,
-    UnitIncidence, UNSET,
+    Incidence, LiveView, PeelProblem, Round, Stamps, Step, UnitIncidence, Wave, UNSET,
 };
-use crate::config::{Config, HistogramKind, Offline};
-use kcore_buckets::{BucketStrategy, BucketStructure, SingleBucket};
+use crate::config::{HistogramKind, Offline};
+use kcore_buckets::{BucketStructure, SingleBucket};
 use kcore_check::sync::atomic::{AtomicU32, Ordering};
 use kcore_obs::span;
 use kcore_parallel::histogram::{histogram_atomic, histogram_auto, histogram_sort};
-use kcore_parallel::RunStats;
 use rayon::prelude::*;
 
-/// The offline decomposition driver. Sampling and VGC are online-only
-/// refinements (they exist to temper the online driver's atomics and
+/// The offline subround step. Its apply produces the next frontier
+/// directly, so it needs no hash bag. Sampling and VGC are online-only
+/// refinements (they exist to temper the fused step's atomics and
 /// subround synchronization) and are ignored here.
-pub(crate) fn run<P: PeelProblem>(
-    config: &Config,
-    off: Offline,
-    problem: &P,
-    stats: &mut RunStats,
-) -> Vec<u32> {
-    let n = problem.num_elements();
-    let init = problem.init_priorities();
-    let prio: Vec<AtomicU32> = init.iter().map(|&d| AtomicU32::new(d)).collect();
-    let settled: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
-    let incidence = problem.incidence();
-    // Subround stamps for snapshot rules (0 = never settled; ids start
-    // at 1). Unit incidences read liveness from `settled` directly.
-    let stamps: Vec<AtomicU32> = match incidence {
-        Incidence::Snapshot(_) => (0..n).map(|_| AtomicU32::new(0)).collect(),
-        Incidence::Unit(_) => Vec::new(),
-        // The engine rejects offline × recompute before dispatching
-        // (see `validate_combination`): recomputed priorities have no
-        // decrement multiset to histogram.
-        Incidence::Recompute(_) => unreachable!("offline driver rejected for Incidence::Recompute"),
-    };
-    let mut subround_id = 0u32;
+pub(crate) struct OfflineStep<'p> {
+    incidence: Incidence<'p>,
+    histogram: HistogramKind,
+    /// Settle stamps for snapshot rules; empty for unit incidences,
+    /// which read liveness from the settle array directly.
+    stamps: Stamps,
+}
 
-    let mut bucket: Box<dyn BucketStructure> = config.bucket_strategy.build(&init);
-    let mut adaptive_pending = matches!(config.bucket_strategy, BucketStrategy::Adaptive);
-
-    let collect_stats = config.collect_stats;
-    let max_prio = *init.iter().max().unwrap_or(&0);
-    let mut remaining = n;
-    let mut k = 0u32;
-    while remaining > 0 {
-        assert!(k <= max_prio, "peeling stalled: {remaining} elements left after round {max_prio}");
-        let _round = span!("round", k);
-        let view = LiveView { prio: &prio, settled: &settled };
-        upgrade_adaptive_if_due(
-            &mut bucket,
-            &mut adaptive_pending,
-            k,
-            config.adaptive_theta,
-            n,
-            &view,
-        );
-        let mut frontier = {
-            let _drain = span!("bucket.drain", k);
-            bucket.next_frontier(k, &view)
+impl<'p> OfflineStep<'p> {
+    pub(crate) fn new(off: Offline, incidence: Incidence<'p>, n: usize) -> Self {
+        let stamped = match incidence {
+            Incidence::Snapshot(_) => n,
+            Incidence::Unit(_) => 0,
+            // The engine rejects offline × recompute before dispatching
+            // (see `validate_combination`): recomputed priorities have
+            // no decrement multiset to histogram.
+            Incidence::Recompute(_) => unreachable!("offline rejects Incidence::Recompute"),
         };
-        let mut subrounds = 0u32;
-        while !frontier.is_empty() {
-            subrounds += 1;
-            subround_id += 1;
-            let _subround = span!("subround", frontier.len());
-            remaining -= frontier.len();
-            if collect_stats {
-                stats.max_frontier = stats.max_frontier.max(frontier.len());
-                // Unit incidences charge the frontier's full incident
-                // lists (the gather scans them all, live or not);
-                // snapshot rules charge the emitted decrement list
-                // below, which is the work they actually perform.
-                stats.work += frontier.len() as u64;
-                if let Incidence::Unit(inc) = incidence {
-                    let arcs: usize = frontier.iter().map(|&v| inc.num_incident(v)).sum();
-                    stats.work += arcs as u64;
-                }
-            }
-            // 1. settle — exclusive phase, so the gather below reads a
-            // stable snapshot.
-            let settle_span = span!("settle", frontier.len());
-            frontier.par_iter().for_each(|&v| {
-                settled[v as usize].store(k, Ordering::Relaxed);
-                if let Incidence::Snapshot(_) = incidence {
-                    stamps[v as usize].store(subround_id, Ordering::Relaxed);
-                }
-                problem.on_settle(v, k);
-            });
-            drop(settle_span);
-            // 2. gather the decrement list, with duplicates.
-            let gather_span = span!("offline.gather", frontier.len());
-            let gathered = match incidence {
-                Incidence::Unit(inc) => gather_live(inc, &frontier, &settled),
-                Incidence::Snapshot(rule) => {
-                    let sview = SettleView::new(&stamps, subround_id);
-                    gather_rule(rule, &frontier, k, &sview)
-                }
-                Incidence::Recompute(_) => {
-                    unreachable!("offline driver rejected for Incidence::Recompute")
-                }
-            };
-            drop(gather_span);
-            if collect_stats {
-                if let Incidence::Snapshot(_) = incidence {
-                    stats.work += gathered.len() as u64;
-                }
-            }
-            // 3. histogram it.
-            let hist_span = span!("offline.histogram", gathered.len());
-            let hist = run_histogram(off.histogram, gathered, n);
-            drop(hist_span);
-            if collect_stats {
-                stats.work += hist.len() as u64;
-            }
-            // 4. apply bulk decrements; hits on k form the next frontier.
-            let apply_span = span!("offline.apply", hist.len());
-            frontier = hist
-                .par_iter()
-                .filter_map(|&(u, c)| {
-                    let u = u as usize;
-                    if settled[u].load(Ordering::Relaxed) != UNSET {
-                        return None;
-                    }
-                    let d = prio[u].load(Ordering::Relaxed);
-                    debug_assert!(d > k, "live non-frontier elements sit above the round");
-                    let nd = d.saturating_sub(c).max(k);
-                    prio[u].store(nd, Ordering::Relaxed);
-                    if nd == k {
-                        Some(u as u32)
-                    } else {
-                        bucket.on_decrease(u as u32, d, nd, k);
-                        None
-                    }
-                })
-                .collect();
-            drop(apply_span);
-            if collect_stats {
-                stats.record_subround(3, 1);
-            }
-        }
-        if collect_stats {
-            stats.record_round(subrounds);
-        }
-        k += 1;
+        Self { incidence, histogram: off.histogram, stamps: Stamps::new(stamped) }
     }
-    settled.into_iter().map(AtomicU32::into_inner).collect()
+}
+
+impl Step for OfflineStep<'_> {
+    const SYNCS: u64 = 3;
+
+    fn subround<P: PeelProblem>(&mut self, frontier: &[u32], round: &Round<'_, P>) -> Wave {
+        let k = round.floor;
+        // 1. settle — exclusive phase, so the gather below reads a
+        // stable snapshot.
+        let view = self.stamps.settle(frontier, round);
+        // 2. gather the decrement list, with duplicates. Unit
+        // incidences charge the frontier's full incident lists (the
+        // gather scans them all, live or not); snapshot rules charge
+        // the emitted list, which is the work they actually perform.
+        let gather_span = span!("offline.gather", frontier.len());
+        let (gathered, mut work) = match self.incidence {
+            Incidence::Unit(inc) => {
+                (gather_live(inc, frontier, round.settled), round.arcs(inc, frontier))
+            }
+            Incidence::Snapshot(rule) => {
+                let gathered = gather(frontier, |e, out| {
+                    rule.for_each_decrement(e, k, &view, &mut |t| out.push(t))
+                });
+                let len = gathered.len() as u64;
+                (gathered, len)
+            }
+            Incidence::Recompute(_) => unreachable!("rejected by OfflineStep::new"),
+        };
+        drop(gather_span);
+        // 3. histogram it.
+        let hist_span = span!("offline.histogram", gathered.len());
+        let hist = run_histogram(self.histogram, gathered, round.settled.len());
+        drop(hist_span);
+        work += hist.len() as u64;
+        // 4. apply bulk decrements; hits on k form the next frontier.
+        let _apply = span!("offline.apply", hist.len());
+        let next = hist
+            .par_iter()
+            .filter_map(|&(u, c)| {
+                let u = u as usize;
+                if round.settled[u].load(Ordering::Relaxed) != UNSET {
+                    return None;
+                }
+                let d = round.prio[u].load(Ordering::Relaxed);
+                debug_assert!(d > k, "live non-frontier elements sit above the round");
+                let nd = d.saturating_sub(c).max(k);
+                round.prio[u].store(nd, Ordering::Relaxed);
+                if nd == k {
+                    Some(u as u32)
+                } else {
+                    round.bucket.on_decrease(u as u32, d, nd, k);
+                    None
+                }
+            })
+            .collect();
+        Wave { next, chased: 0, work, chain: 1 }
+    }
 }
 
 /// Membership of the priority-`k` core by offline **range** peeling:
@@ -226,55 +170,31 @@ pub(crate) fn range_membership(
     peeled.iter().map(|m| m.load(Ordering::Relaxed) == UNSET).collect()
 }
 
-/// Every still-live incident element of the frontier, with duplicates —
-/// the list `L` of Julienne's `Peel`. The settle phase completed before
-/// this runs, so liveness reads are stable and the result is
-/// deterministic.
+/// Every still-live incident element of the frontier, with duplicates.
 fn gather_live(inc: &dyn UnitIncidence, frontier: &[u32], settled: &[AtomicU32]) -> Vec<u32> {
-    let per_elem: Vec<Vec<u32>> = frontier
-        .par_iter()
-        .map(|&v| {
-            let mut live = Vec::new();
-            inc.for_each_incident(v, &mut |u| {
-                if settled[u as usize].load(Ordering::Relaxed) == UNSET {
-                    live.push(u);
-                }
-            });
-            live
+    gather(frontier, |v, out| {
+        inc.for_each_incident(v, &mut |u| {
+            if settled[u as usize].load(Ordering::Relaxed) == UNSET {
+                out.push(u);
+            }
         })
-        .collect();
-    flatten(per_elem)
+    })
 }
 
-/// The decrement targets a snapshot rule emits for the settled
-/// frontier, with duplicates. The settle phase (including stamps)
-/// completed first, so the rule sees the same consistent snapshot as in
-/// the online two-phase driver and the gathered multiset is
-/// deterministic.
-fn gather_rule(
-    rule: &dyn SnapshotRule,
-    frontier: &[u32],
-    k: u32,
-    view: &SettleView<'_>,
-) -> Vec<u32> {
-    let per_elem: Vec<Vec<u32>> = frontier
+/// The list `L` of Julienne's `Peel`: every decrement target `targets`
+/// pushes for each frontier element, with duplicates. The settle phase
+/// (including stamps) completed first, so the reads behind `targets`
+/// are stable and the gathered multiset is deterministic.
+fn gather(frontier: &[u32], targets: impl Fn(u32, &mut Vec<u32>) + Sync) -> Vec<u32> {
+    let parts: Vec<Vec<u32>> = frontier
         .par_iter()
         .map(|&e| {
             let mut out = Vec::new();
-            rule.for_each_decrement(e, k, view, &mut |t| out.push(t));
+            targets(e, &mut out);
             out
         })
         .collect();
-    flatten(per_elem)
-}
-
-fn flatten(parts: Vec<Vec<u32>>) -> Vec<u32> {
-    let total = parts.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(total);
-    for part in parts {
-        out.extend(part);
-    }
-    out
+    parts.concat()
 }
 
 /// Dispatches to the configured histogram implementation.

@@ -71,9 +71,8 @@
 //! counter; we take the hit on the shared atomic directly, which only
 //! strengthens the concentration argument (no shard staleness).
 
-use super::engine::{OnlineCtx, PeelProblem, Polluted, UnitIncidence, UNSET};
+use super::engine::{FusedStep, PeelProblem, Polluted, Round, UnitIncidence, UNSET};
 use crate::config::{Sampling, Validation};
-use kcore_buckets::BucketStructure;
 use kcore_check::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
 use kcore_obs::{counter, span};
 use kcore_parallel::primitives::pack_index;
@@ -171,8 +170,8 @@ impl SamplingState {
         &self,
         src: u32,
         u: u32,
-        k: u32,
-        ctx: &OnlineCtx<'_, P>,
+        round: &Round<'_, P>,
+        step: &FusedStep<'_>,
     ) {
         if !edge_sampled(src, u, self.cfg.seed, self.mask) {
             return;
@@ -190,15 +189,15 @@ impl SamplingState {
             // `==` rather than `<=`: the counter only decreases between
             // recounts, so this fires once per crossing instead of on
             // every removal below the watermark.
-            if now == self.trigger_watermark(k) || now == 0 {
-                self.recount_in_round(u, k, ctx);
+            if now == self.trigger_watermark(round.floor) || now == 0 {
+                self.recount_in_round(u, round, step);
             }
         }
     }
 
     /// Claims the recount token for `u` and re-counts exactly,
     /// mid-round.
-    fn recount_in_round<P: PeelProblem>(&self, u: u32, k: u32, ctx: &OnlineCtx<'_, P>) {
+    fn recount_in_round<P: PeelProblem>(&self, u: u32, round: &Round<'_, P>, step: &FusedStep<'_>) {
         if self.state[u as usize]
             .compare_exchange(SAMPLED, RECOUNT, Ordering::Relaxed, Ordering::Relaxed)
             .is_err()
@@ -207,22 +206,31 @@ impl SamplingState {
             // claimed for this round.
             return;
         }
-        counter!(ctx.counters.resamples, "sampling.resamples", 1);
-        let (exact, fresh) = self.count_exact(u, ctx.inc, ctx.settled);
-        if exact <= k {
+        counter!(step.counters.resamples, "sampling.resamples", 1);
+        if self.recount(u, round, step.inc) <= round.floor {
             // The round-start invariant puts the priority at >= k when
             // the round opened, so the drop to <= k happened during this
-            // round: the settle round is k. Claim before inserting so no
-            // second recount (or a stale bucket copy) can double-peel.
-            ctx.bag.insert(u);
-            self.state[u as usize].store(CLAIMED, Ordering::Relaxed);
+            // round: the settle round is k. Claimed before inserting so
+            // no second recount (or a stale bucket copy) can double-peel.
+            step.bag.insert(u);
         } else {
-            if let Some(old) = store_decreased(&ctx.prio[u as usize], exact) {
-                self.approx[u as usize].store(fresh, Ordering::Relaxed);
-                ctx.bucket.on_decrease(u, old, exact, k);
-            }
             self.state[u as usize].store(SAMPLED, Ordering::Relaxed);
         }
+    }
+
+    /// Re-counts `v` exactly and returns the count. At or below the
+    /// round's floor `v` is claimed for the round; otherwise its stored
+    /// priority and sampled count are refreshed and it re-files in the
+    /// bucket structure.
+    fn recount<P>(&self, v: u32, round: &Round<'_, P>, inc: &dyn UnitIncidence) -> u32 {
+        let (exact, fresh) = self.count_exact(v, inc, round.settled);
+        if exact <= round.floor {
+            self.state[v as usize].store(CLAIMED, Ordering::Relaxed);
+        } else if let Some(old) = store_decreased(&round.prio[v as usize], exact) {
+            self.approx[v as usize].store(fresh, Ordering::Relaxed);
+            round.bucket.on_decrease(v, old, exact, round.floor);
+        }
+        exact
     }
 
     /// Confirms every sample-mode element in a round's initial frontier
@@ -230,12 +238,11 @@ impl SamplingState {
     /// the counts are exact truths: an element below the round proves
     /// the frontier polluted (an earlier round missed it) and aborts
     /// the attempt.
-    pub(crate) fn validate_frontier(
+    pub(crate) fn validate_frontier<P: PeelProblem>(
         &self,
         frontier: &[u32],
-        k: u32,
+        round: &Round<'_, P>,
         inc: &dyn UnitIncidence,
-        settled: &[AtomicU32],
         counters: &TechniqueCounters,
     ) -> Result<(), Polluted> {
         let _validate = span!("sampling.validate_frontier", frontier.len());
@@ -247,14 +254,13 @@ impl SamplingState {
                 return;
             }
             counter!(counters.resamples, "sampling.resamples", 1);
-            let (exact, _) = self.count_exact(v, inc, settled);
-            if exact < k {
+            // The stored priority (== k, or the bucket would not have
+            // surfaced v) upper-bounds the truth, so the recount claims
+            // v, and anything below k is pollution.
+            let exact = self.recount(v, round, inc);
+            debug_assert!(exact <= round.floor);
+            if exact < round.floor {
                 polluted.store(true, Ordering::Relaxed);
-            } else {
-                // The stored priority (== k, or the bucket would not
-                // have surfaced v) upper-bounds the truth, so exact == k.
-                debug_assert_eq!(exact, k);
-                self.state[v as usize].store(CLAIMED, Ordering::Relaxed);
             }
         });
         if polluted.load(Ordering::Relaxed) {
@@ -269,19 +275,16 @@ impl SamplingState {
     /// the validation watermark otherwise) and returns the ones whose
     /// true priority already reached `k` — they re-open the round. Runs
     /// in the sequential gap, so counts are exact.
-    pub(crate) fn validate_round_end(
+    pub(crate) fn validate_round_end<P: PeelProblem>(
         &mut self,
-        k: u32,
+        round: &Round<'_, P>,
         inc: &dyn UnitIncidence,
-        prio: &[AtomicU32],
-        settled: &[AtomicU32],
-        bucket: &dyn BucketStructure,
         counters: &TechniqueCounters,
     ) -> Vec<u32> {
-        self.sampled.retain(|&v| settled[v as usize].load(Ordering::Relaxed) == UNSET);
+        self.sampled.retain(|&v| round.settled[v as usize].load(Ordering::Relaxed) == UNSET);
         let _validate = span!("sampling.validate_round_end", self.sampled.len());
         let full = self.cfg.validation == Validation::Full;
-        let vwm = self.validation_watermark(k);
+        let vwm = self.validation_watermark(round.floor);
         let this = &*self;
         this.sampled
             .par_iter()
@@ -294,17 +297,7 @@ impl SamplingState {
                 }
                 counter!(counters.validate_calls, "sampling.validate_calls", 1);
                 counter!(counters.resamples, "sampling.resamples", 1);
-                let (exact, fresh) = this.count_exact(v, inc, settled);
-                if exact <= k {
-                    this.state[v as usize].store(CLAIMED, Ordering::Relaxed);
-                    Some(v)
-                } else {
-                    if let Some(old) = store_decreased(&prio[v as usize], exact) {
-                        this.approx[v as usize].store(fresh, Ordering::Relaxed);
-                        bucket.on_decrease(v, old, exact, k);
-                    }
-                    None
-                }
+                (this.recount(v, round, inc) <= round.floor).then_some(v)
             })
             .collect()
     }

@@ -1,5 +1,5 @@
 //! Vertical granularity control (paper Sec. 4.2) and the fused
-//! settle-and-decrement hot path of the unit-incidence driver.
+//! settle-and-decrement hot path of the unit-incidence step.
 //!
 //! On sparse inputs most subrounds move a handful of elements: the
 //! global synchronization between subrounds (burden ω in the span
@@ -22,70 +22,71 @@
 //! guarantees a unique thread moves each element to `k`, and that
 //! thread peeling it immediately (instead of a later subround) only
 //! reorders work within the round — the settle round at round `k` is
-//! `k` either way. This is exactly why the fused driver is restricted
+//! `k` either way. This is exactly why the fused step is restricted
 //! to [`crate::Incidence::Unit`] problems: unit decrements over static
 //! lists commute, so no settle barrier is needed.
 
-use super::engine::{clamped_decrement, OnlineCtx, PeelProblem};
+use super::engine::{clamped_update, FusedStep, PeelProblem, Round};
 use kcore_check::sync::atomic::Ordering;
 use kcore_obs::{counter, gauge_max};
 
-/// Settles `v` at round `round`, processes its removals, and — with
-/// VGC enabled (`ctx.chain_limit > 0`) — chases the local peel chain
-/// up to the chain bound. The plain framework is the `chain_limit == 0`
+/// Settles `v` in `round`, processes its removals, and — with VGC
+/// enabled (`step.chain_limit > 0`) — chases the local peel chain up
+/// to the chain bound. The plain framework is the `chain_limit == 0`
 /// case: every discovered element goes straight to the hash bag.
 ///
-/// `floor` is the round's clamp value: equal to `round` under
-/// [`crate::RoundPolicy::MinBucket`] (the historical behavior), the
-/// round's peel threshold under [`crate::RoundPolicy::Threshold`] —
-/// there an element dragged down to the *threshold* settles in the
-/// current round even though its recorded settle round is the round
-/// index.
-pub(crate) fn peel_from<P: PeelProblem>(ctx: &OnlineCtx<'_, P>, v: u32, round: u32, floor: u32) {
+/// Decrements clamp at `round.floor`: equal to the round index under
+/// [`crate::RoundPolicy::MinBucket`], the round's peel threshold under
+/// [`crate::RoundPolicy::Threshold`] — there an element dragged down to
+/// the *threshold* settles in the current round even though its
+/// recorded settle round is the round index.
+pub(crate) fn peel_from<P: PeelProblem>(round: &Round<'_, P>, step: &FusedStep<'_>, v: u32) {
     let mut pending: Vec<u32> = Vec::new();
     let mut chased = 0u64;
     let mut chased_work = 0u64;
-    let limit = ctx.chain_limit as u64;
+    let limit = step.chain_limit as u64;
+    let floor = round.floor;
     let mut cur = v;
     loop {
-        ctx.settled[cur as usize].store(round, Ordering::Relaxed);
-        ctx.problem.on_settle(cur, round);
-        for &u in ctx.inc.incident(cur) {
-            if let Some(s) = ctx.sampling {
+        round.settled[cur as usize].store(round.index, Ordering::Relaxed);
+        round.problem.on_settle(cur, round.index);
+        for &u in step.inc.incident(cur) {
+            if let Some(s) = &step.sampling {
                 if s.in_sample_mode(u) {
-                    s.on_neighbor_removed(cur, u, floor, ctx);
+                    s.on_neighbor_removed(cur, u, round, step);
                     continue;
                 }
             }
             // Clamped decrement: only while above the floor. Dead
             // elements already sit at or below it, so the guard also
             // excludes them.
-            if let Some(prev) = clamped_decrement(&ctx.prio[u as usize], floor) {
-                if prev == floor + 1 {
+            let slot = &round.prio[u as usize];
+            if let Some((prev, stored)) = clamped_update(slot, floor, |d| d - 1) {
+                if stored == floor {
                     // This thread moved u to the floor: u is peeled
                     // exactly once — chased locally under VGC, else via
                     // the bag.
                     if chased < limit {
                         pending.push(u);
                     } else {
-                        ctx.bag.insert(u);
+                        step.bag.insert(u);
                     }
                 } else {
-                    ctx.bucket.on_decrease(u, prev, prev - 1, floor);
+                    round.bucket.on_decrease(u, prev, stored, floor);
                 }
             }
         }
         match pending.pop() {
             Some(next) if chased < limit => {
                 chased += 1;
-                chased_work += 1 + ctx.inc.num_incident(next) as u64;
+                chased_work += 1 + step.inc.num_incident(next) as u64;
                 cur = next;
             }
             Some(next) => {
                 // Chain budget exhausted mid-expansion: spill the rest.
-                ctx.bag.insert(next);
+                step.bag.insert(next);
                 for u in pending.drain(..) {
-                    ctx.bag.insert(u);
+                    step.bag.insert(u);
                 }
                 break;
             }
@@ -93,8 +94,8 @@ pub(crate) fn peel_from<P: PeelProblem>(ctx: &OnlineCtx<'_, P>, v: u32, round: u
         }
     }
     if chased > 0 {
-        counter!(ctx.counters.chased, "vgc.chased", chased);
-        counter!(ctx.counters.chased_work, "vgc.chased_work", chased_work);
-        gauge_max!(ctx.counters.chain, "vgc.chain", chased);
+        counter!(step.counters.chased, "vgc.chased", chased);
+        counter!(step.counters.chased_work, "vgc.chased_work", chased_work);
+        gauge_max!(step.counters.chain, "vgc.chain", chased);
     }
 }

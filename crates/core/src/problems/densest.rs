@@ -94,22 +94,6 @@ impl<G: GraphBackend> PeelProblem for DensestProblem<'_, G> {
     }
 }
 
-/// Greedy densest-subgraph extraction on the peel engine.
-///
-/// Same [`Config`] surface as [`crate::KCore`] — bucket strategies,
-/// sampling, VGC, and the offline driver all apply, since the peel
-/// itself is plain min-degree (unit-incidence) peeling.
-#[derive(Debug, Clone, Default)]
-pub struct DensestSubgraph {
-    config: Config,
-}
-
-/// Runs greedy densest-subgraph extraction over exactly the backend
-/// given — no environment override.
-pub(crate) fn run_densest_on<G: GraphBackend>(g: &G, config: Config) -> DensestResult {
-    PeelEngine::new(&DensestProblem { g }, config).run()
-}
-
 /// Runs greedy densest-subgraph extraction with `config` exactly as
 /// given — the shared core behind [`crate::Decomposition::densest`].
 /// A plain-CSR graph is re-encoded through the `KCORE_BACKEND`-forced
@@ -117,37 +101,11 @@ pub(crate) fn run_densest_on<G: GraphBackend>(g: &G, config: Config) -> DensestR
 pub(crate) fn run_densest<G: GraphBackend>(g: &G, config: Config) -> DensestResult {
     if env_backend() == BackendKind::Compressed {
         if let Some(plain) = g.as_plain() {
-            return run_densest_on(&CompressedCsr::from_graph(plain), config);
+            // The compressed copy has no plain view: one nested call.
+            return run_densest(&CompressedCsr::from_graph(plain), config);
         }
     }
-    run_densest_on(g, config)
-}
-
-impl DensestSubgraph {
-    /// Creates the framework with the given configuration, after
-    /// applying the `KCORE_TECHNIQUES` environment override.
-    #[deprecated(since = "0.2.0", note = "use `Decomposition::densest(&g).config(c).run()`")]
-    pub fn new(config: Config) -> Self {
-        Self { config: config.apply_env_overrides() }
-    }
-
-    /// Creates the framework with `config` exactly as given (see
-    /// [`crate::Decomposition::exact_config`]).
-    #[deprecated(since = "0.2.0", note = "use `Decomposition::densest(&g).exact_config(c).run()`")]
-    pub fn with_exact_config(config: Config) -> Self {
-        Self { config }
-    }
-
-    /// The configuration this instance runs with.
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
-    /// Peels `g` and returns the densest core found along the way —
-    /// a 2-approximation of the densest subgraph.
-    pub fn run(&self, g: &CsrGraph) -> DensestResult {
-        run_densest(g, self.config)
-    }
+    PeelEngine::new(&DensestProblem { g }, config).run()
 }
 
 /// The result of a greedy densest-subgraph run.
@@ -249,11 +207,10 @@ pub fn sequential_greedy_density(g: &CsrGraph) -> f64 {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shim facades stay covered until removal
-
     use super::*;
     use crate::bz::bz_coreness;
     use crate::config::Techniques;
+    use crate::Decomposition;
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, GraphBuilder};
 
@@ -267,7 +224,7 @@ mod tests {
         ] {
             for techniques in [Techniques::default(), Techniques::offline()] {
                 let config = Config { bucket_strategy: strategy, techniques, ..Config::default() };
-                let r = DensestSubgraph::with_exact_config(config).run(g);
+                let r = Decomposition::densest(g).exact_config(config).run();
                 let got = r.density();
                 assert!(
                     got <= oracle + 1e-9,
@@ -283,10 +240,11 @@ mod tests {
 
     #[test]
     fn empty_and_trivial() {
-        let r = DensestSubgraph::new(Config::default()).run(&CsrGraph::empty());
+        let r = Decomposition::densest(&CsrGraph::empty()).config(Config::default()).run();
         assert_eq!(r.density(), 0.0);
         assert_eq!(r.num_members(), 0);
-        let r = DensestSubgraph::new(Config::default()).run(&GraphBuilder::new(4).build());
+        let r =
+            Decomposition::densest(&GraphBuilder::new(4).build()).config(Config::default()).run();
         assert_eq!(r.density(), 0.0);
         assert_eq!(r.num_members(), 4, "isolated vertices form the (vacuous) 0-core");
     }
@@ -299,7 +257,7 @@ mod tests {
         // smallest k with that density, so best_k lands just above the
         // halo, not at the clique's coreness.
         let g = gen::planted_core(300, 2, 50, 21);
-        let r = DensestSubgraph::new(Config::default()).run(&g);
+        let r = Decomposition::densest(&g).config(Config::default()).run();
         assert!(r.best_k() >= 3, "best core sits above the BA halo, got k = {}", r.best_k());
         assert!(r.density() >= 15.0, "clique density ~24.5, got {}", r.density());
         assert!(r.num_members() <= 80, "the dense core is small, got {}", r.num_members());
@@ -312,7 +270,7 @@ mod tests {
     #[test]
     fn density_curve_matches_independent_core_densities() {
         let g = gen::barabasi_albert(400, 3, 13);
-        let r = DensestSubgraph::new(Config::default()).run(&g);
+        let r = Decomposition::densest(&g).config(Config::default()).run();
         let coreness = bz_coreness(&g);
         assert_eq!(r.coreness(), coreness.as_slice());
         for (k, &d) in r.densities().iter().enumerate() {
@@ -338,8 +296,8 @@ mod tests {
     #[test]
     fn densest_is_deterministic() {
         let g = gen::rmat(8, 6, 0.57, 0.19, 0.19, 4);
-        let a = DensestSubgraph::new(Config::default()).run(&g);
-        let b = DensestSubgraph::new(Config::default()).run(&g);
+        let a = Decomposition::densest(&g).config(Config::default()).run();
+        let b = Decomposition::densest(&g).config(Config::default()).run();
         assert_eq!(a.coreness(), b.coreness());
         assert_eq!(a.best_k(), b.best_k());
         assert_eq!(a.densities(), b.densities());
@@ -348,10 +306,10 @@ mod tests {
     #[test]
     fn techniques_do_not_change_the_answer() {
         let g = gen::barabasi_albert(300, 4, 5);
-        let want = DensestSubgraph::with_exact_config(Config::default()).run(&g);
+        let want = Decomposition::densest(&g).exact_config(Config::default()).run();
         for spec in ["sampling", "vgc", "all", "offline"] {
             let config = Config::default().apply_techniques_spec(spec);
-            let got = DensestSubgraph::with_exact_config(config).run(&g);
+            let got = Decomposition::densest(&g).exact_config(config).run();
             assert_eq!(got.best_k(), want.best_k(), "{spec}");
             assert_eq!(got.densities(), want.densities(), "{spec}");
         }

@@ -200,21 +200,8 @@ impl RecomputeRule for KhCoreProblem<'_> {
     }
 }
 
-/// The parallel (k,h)-core decomposition framework.
-///
-/// Same [`Config`] surface as [`crate::KCore`] for the bucket
-/// strategies; sampling and the offline driver do not apply to
-/// recomputed priorities and are rejected by the engine (the
-/// `KCORE_TECHNIQUES` env override is filtered accordingly, so the CI
-/// matrix legs run this problem with the inapplicable tokens dropped).
-#[derive(Debug, Clone)]
-pub struct KhCore {
-    config: Config,
-    h: u32,
-}
-
 /// Env-override tokens that apply to recompute peeling. (VGC is
-/// accepted and then ignored by the two-phase driver, mirroring the
+/// accepted and then ignored by the two-phase step, mirroring the
 /// snapshot-rule problems; sampling/offline would panic.)
 pub(crate) const SUPPORTED_TECHNIQUES: &[&str] = &["vgc"];
 
@@ -222,49 +209,6 @@ pub(crate) const SUPPORTED_TECHNIQUES: &[&str] = &["vgc"];
 /// the shared core behind [`crate::Decomposition::khcore`].
 pub(crate) fn run_khcore(g: &CsrGraph, config: Config, h: u32) -> KhCoreResult {
     PeelEngine::new(&KhCoreProblem { g, h }, config).run()
-}
-
-impl KhCore {
-    /// Creates the framework for the (·,h)-core family with the given
-    /// configuration, after applying the `KCORE_TECHNIQUES` override
-    /// restricted to the techniques recompute peeling supports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h == 0` (a 0-hop ball is always empty) or if the
-    /// configuration explicitly enables sampling or the offline driver
-    /// (rejected by the engine when `run` is called).
-    #[deprecated(since = "0.2.0", note = "use `Decomposition::khcore(&g, h).config(c).run()`")]
-    pub fn new(config: Config, h: u32) -> Self {
-        assert!(h > 0, "the (k,h)-core needs a positive hop bound h");
-        Self { config: config.apply_env_overrides_filtered(SUPPORTED_TECHNIQUES), h }
-    }
-
-    /// Creates the framework with `config` exactly as given (see
-    /// [`crate::Decomposition::exact_config`]).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Decomposition::khcore(&g, h).exact_config(c).run()`"
-    )]
-    pub fn with_exact_config(config: Config, h: u32) -> Self {
-        assert!(h > 0, "the (k,h)-core needs a positive hop bound h");
-        Self { config, h }
-    }
-
-    /// The configuration this instance runs with.
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
-    /// The hop bound `h`.
-    pub fn h(&self) -> u32 {
-        self.h
-    }
-
-    /// Decomposes `g`, returning every vertex's kh-coreness.
-    pub fn run(&self, g: &CsrGraph) -> KhCoreResult {
-        run_khcore(g, self.config, self.h)
-    }
 }
 
 /// The result of a (k,h)-core decomposition.
@@ -350,11 +294,10 @@ pub fn sequential_kh_coreness(g: &CsrGraph, h: u32) -> Vec<u32> {
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)] // the shim facades stay covered until removal
-
     use super::*;
     use crate::bz::bz_coreness;
     use crate::config::{Sampling, Techniques};
+    use crate::Decomposition;
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, GraphBuilder};
 
@@ -377,7 +320,9 @@ mod tests {
         ] {
             let want = bz_coreness(&g);
             for strategy in strategies() {
-                let got = KhCore::with_exact_config(Config::with_strategy(strategy), 1).run(&g);
+                let got = Decomposition::khcore(&g, 1)
+                    .exact_config(Config::with_strategy(strategy))
+                    .run();
                 assert_eq!(got.kh_coreness(), want.as_slice(), "{label} under {strategy}");
             }
         }
@@ -394,7 +339,9 @@ mod tests {
         ] {
             let want = sequential_kh_coreness(&g, 2);
             for strategy in strategies() {
-                let got = KhCore::with_exact_config(Config::with_strategy(strategy), 2).run(&g);
+                let got = Decomposition::khcore(&g, 2)
+                    .exact_config(Config::with_strategy(strategy))
+                    .run();
                 assert_eq!(got.kh_coreness(), want.as_slice(), "{label} under {strategy}");
             }
         }
@@ -405,9 +352,9 @@ mod tests {
         // Balls are nested in h, so priorities — and the cores — only
         // grow with the hop bound.
         let g = gen::barabasi_albert(60, 2, 11);
-        let h1 = KhCore::with_exact_config(Config::default(), 1).run(&g);
-        let h2 = KhCore::with_exact_config(Config::default(), 2).run(&g);
-        let h3 = KhCore::with_exact_config(Config::default(), 3).run(&g);
+        let h1 = Decomposition::khcore(&g, 1).exact_config(Config::default()).run();
+        let h2 = Decomposition::khcore(&g, 2).exact_config(Config::default()).run();
+        let h3 = Decomposition::khcore(&g, 3).exact_config(Config::default()).run();
         for v in 0..g.num_vertices() {
             assert!(h1.kh_coreness()[v] <= h2.kh_coreness()[v], "vertex {v}: h=1 vs h=2");
             assert!(h2.kh_coreness()[v] <= h3.kh_coreness()[v], "vertex {v}: h=2 vs h=3");
@@ -420,13 +367,14 @@ mod tests {
         // K_n: everyone is within one hop of everyone — kh-coreness is
         // n-1 for every h.
         for h in [1u32, 2, 3] {
-            let r = KhCore::with_exact_config(Config::default(), h).run(&gen::complete(9));
+            let r =
+                Decomposition::khcore(&gen::complete(9), h).exact_config(Config::default()).run();
             assert!(r.kh_coreness().iter().all(|&c| c == 8), "K9 at h = {h}");
         }
         // A star at h = 2: every leaf sees the hub plus the other
         // leaves, the hub sees the leaves — the whole star is one
         // (n-1, 2)-core.
-        let r = KhCore::with_exact_config(Config::default(), 2).run(&gen::star(12));
+        let r = Decomposition::khcore(&gen::star(12), 2).exact_config(Config::default()).run();
         assert_eq!(r.kh_coreness(), sequential_kh_coreness(&gen::star(12), 2).as_slice());
         assert!(r.kh_coreness().iter().all(|&c| c == 11), "the star collapses in one round");
     }
@@ -434,25 +382,28 @@ mod tests {
     #[test]
     fn deterministic_for_fixed_input() {
         let g = gen::rmat(7, 5, 0.57, 0.19, 0.19, 2);
-        let a = KhCore::with_exact_config(Config::default(), 2).run(&g);
-        let b = KhCore::with_exact_config(Config::default(), 2).run(&g);
+        let a = Decomposition::khcore(&g, 2).exact_config(Config::default()).run();
+        let b = Decomposition::khcore(&g, 2).exact_config(Config::default()).run();
         assert_eq!(a.kh_coreness(), b.kh_coreness());
         assert_eq!(a.stats().subrounds, b.stats().subrounds);
     }
 
     #[test]
     fn empty_and_isolated() {
-        let r =
-            KhCore::with_exact_config(Config::default(), 2).run(&kcore_graph::CsrGraph::empty());
+        let r = Decomposition::khcore(&kcore_graph::CsrGraph::empty(), 2)
+            .exact_config(Config::default())
+            .run();
         assert_eq!(r.num_vertices(), 0);
-        let r = KhCore::with_exact_config(Config::default(), 2).run(&GraphBuilder::new(4).build());
+        let r = Decomposition::khcore(&GraphBuilder::new(4).build(), 2)
+            .exact_config(Config::default())
+            .run();
         assert_eq!(r.kh_coreness(), &[0; 4]);
     }
 
     #[test]
     fn two_phase_subrounds_charge_two_syncs() {
         let g = gen::planted_core(60, 2, 12, 3);
-        let r = KhCore::with_exact_config(Config::default(), 2).run(&g);
+        let r = Decomposition::khcore(&g, 2).exact_config(Config::default()).run();
         let s = r.stats();
         assert!(s.subrounds > 0);
         assert_eq!(s.global_syncs, 2 * s.subrounds, "settle + recompute phases");
@@ -463,26 +414,28 @@ mod tests {
     fn explicit_sampling_is_rejected() {
         let techniques =
             Techniques { sampling: Some(Sampling::with_threshold(4)), ..Techniques::default() };
-        let _ =
-            KhCore::with_exact_config(Config::with_techniques(techniques), 2).run(&gen::path(10));
+        let _ = Decomposition::khcore(&gen::path(10), 2)
+            .exact_config(Config::with_techniques(techniques))
+            .run();
     }
 
     #[test]
     #[should_panic(expected = "Incidence::Recompute does not support the offline driver")]
     fn explicit_offline_is_rejected() {
-        let _ = KhCore::with_exact_config(Config::with_techniques(Techniques::offline()), 2)
-            .run(&gen::path(10));
+        let _ = Decomposition::khcore(&gen::path(10), 2)
+            .exact_config(Config::with_techniques(Techniques::offline()))
+            .run();
     }
 
     #[test]
     fn forced_env_tokens_are_filtered_not_fatal() {
         // What the KCORE_TECHNIQUES CI legs exercise, without mutating
-        // the environment: the facade's filter drops sampling/offline
+        // the environment: the builder's filter drops sampling/offline
         // and the run stays oracle-correct.
         let g = gen::barabasi_albert(40, 2, 5);
         let config = Config::default()
             .apply_techniques_spec_filtered("sampling,vgc,offline", SUPPORTED_TECHNIQUES);
-        let got = KhCore::with_exact_config(config, 2).run(&g);
+        let got = Decomposition::khcore(&g, 2).exact_config(config).run();
         assert_eq!(got.kh_coreness(), sequential_kh_coreness(&g, 2).as_slice());
     }
 }

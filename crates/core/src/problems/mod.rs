@@ -1,14 +1,13 @@
 //! The peeling problems shipped on the [`crate::PeelEngine`].
 //!
-//! Each module pairs a [`crate::PeelProblem`] implementation with a
-//! public facade type mirroring the original `KCore` API (`new` /
-//! `with_exact_config` / `config` / `run`) and, where useful, a
-//! sequential oracle for testing:
+//! Each module pairs a [`crate::PeelProblem`] implementation with the
+//! run function behind its [`crate::Decomposition`] selector, its
+//! result type and, where useful, a sequential oracle for testing:
 //!
 //! * [`kcore`] — vertex peeling by induced degree (the paper's
 //!   subject); unit incidence, every technique applies.
 //! * [`ktruss`] — edge peeling by triangle support; the snapshot-rule
-//!   client that exercises the two-phase driver.
+//!   client that exercises the two-phase step.
 //! * [`densest`] — min-degree peeling with running density tracking;
 //!   Charikar's greedy 2-approximation at round granularity.
 //! * [`khcore`] — (k,h)-core / distance-generalized core; the
@@ -27,7 +26,7 @@
 //!    element costs each incident element exactly one unit (you get
 //!    sampling + VGC for free), [`crate::Incidence::Snapshot`] if the
 //!    rule needs to observe settle states (you get the two-phase
-//!    driver; make the rule deterministic under the snapshot and
+//!    step; make the rule deterministic under the snapshot and
 //!    tie-break shared charges by element id), or
 //!    [`crate::Incidence::Recompute`] if a death invalidates incident
 //!    priorities outright (emit a superset of affected elements and
@@ -40,10 +39,11 @@
 //!    [`crate::RoundAggregates`] (unit incidences only — see
 //!    [`approx_densest`] for the worked example).
 //! 4. Assemble your result from the per-element settle rounds.
-//! 5. Wrap a facade that applies [`crate::Config::apply_env_overrides`]
-//!    — or its `_filtered` variant when your axes reject sampling or
-//!    offline — and test against a sequential oracle across all bucket
-//!    strategies (see `tests/proptest_problems.rs`).
+//! 5. Add a [`crate::Decomposition`] selector whose `run` resolves the
+//!    config with the env override — filtered to the supported tokens
+//!    when your axes reject sampling or offline — and test against a
+//!    sequential oracle across all bucket strategies (see
+//!    `tests/proptest_problems.rs`).
 
 pub mod approx_densest;
 pub mod densest;
@@ -51,8 +51,7 @@ pub mod kcore;
 pub mod khcore;
 pub mod ktruss;
 
-pub use approx_densest::{ApproxDensest, ApproxDensestResult, SWEPT_EPSILONS};
-pub use densest::{sequential_greedy_density, DensestResult, DensestSubgraph};
-pub use kcore::KCore;
-pub use khcore::{sequential_kh_coreness, KhCore, KhCoreResult};
-pub use ktruss::{sequential_trussness, KTruss, TrussnessResult};
+pub use approx_densest::{ApproxDensestResult, SWEPT_EPSILONS};
+pub use densest::{sequential_greedy_density, DensestResult};
+pub use khcore::{sequential_kh_coreness, KhCoreResult};
+pub use ktruss::{sequential_trussness, TrussnessResult};

@@ -155,6 +155,44 @@ pub fn read_adjacency_graph<R: Read>(r: R) -> io::Result<CsrGraph> {
     Ok(CsrGraph::from_parts(offsets, edges))
 }
 
+/// Largest element count a streaming reader reserves up front. Headers
+/// are untrusted and may claim any size, so longer sections grow as
+/// their bytes arrive: a short input ends in `UnexpectedEof` instead of
+/// a failed multi-gigabyte allocation.
+const MAX_PREALLOC: usize = 1 << 16;
+
+/// Reads one `N`-byte word.
+fn read_word<const N: usize>(r: &mut impl Read) -> io::Result<[u8; N]> {
+    let mut buf = [0u8; N];
+    r.read_exact(&mut buf)?;
+    Ok(buf)
+}
+
+/// Reads `count` little-endian words of `N` bytes, decoded by `decode`.
+fn read_words<const N: usize, T>(
+    r: &mut impl Read,
+    count: usize,
+    decode: impl Fn([u8; N]) -> T,
+) -> io::Result<Vec<T>> {
+    let mut out = Vec::with_capacity(count.min(MAX_PREALLOC));
+    for _ in 0..count {
+        out.push(decode(read_word(r)?));
+    }
+    Ok(out)
+}
+
+/// Decodes a little-endian on-disk `u64` size or offset.
+fn usize_le(b: [u8; 8]) -> usize {
+    u64::from_le_bytes(b) as usize
+}
+
+/// The `n + 1` CSR offset slots of a header's vertex count, rejecting
+/// counts for which that overflows.
+fn offset_slots(n: usize) -> io::Result<usize> {
+    n.checked_add(1)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "vertex count overflows"))
+}
+
 /// Writes `g` in the compact binary format: `KCOREGR1` magic, u64 n and
 /// m, (n+1) u64 offsets, m u32 edges; little-endian. The 24-byte header
 /// keeps both arrays naturally aligned for [`map_binary`].
@@ -186,22 +224,10 @@ pub fn read_binary<R: Read>(r: R) -> io::Result<CsrGraph> {
     if &magic != BINARY_MAGIC {
         return Err(bad("bad magic"));
     }
-    let mut b8 = [0u8; 8];
-    r.read_exact(&mut b8)?;
-    let n = u64::from_le_bytes(b8) as usize;
-    r.read_exact(&mut b8)?;
-    let m = u64::from_le_bytes(b8) as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        r.read_exact(&mut b8)?;
-        offsets.push(u64::from_le_bytes(b8) as usize);
-    }
-    let mut edges = Vec::with_capacity(m);
-    let mut b4 = [0u8; 4];
-    for _ in 0..m {
-        r.read_exact(&mut b4)?;
-        edges.push(VertexId::from_le_bytes(b4));
-    }
+    let n = usize_le(read_word(&mut r)?);
+    let m = usize_le(read_word(&mut r)?);
+    let offsets = read_words(&mut r, offset_slots(n)?, usize_le)?;
+    let edges = read_words(&mut r, m, VertexId::from_le_bytes)?;
     if offsets.last() != Some(&m) {
         return Err(bad("offset/edge count mismatch"));
     }
@@ -242,9 +268,10 @@ fn map_binary_impl(path: &Path) -> io::Result<CsrGraph> {
     let m = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
     // On-disk u64 aliases usize here (the cfg gate above); RawSlice
     // checks bounds and alignment, turning truncation into an error.
-    let offsets = RawSlice::<usize>::from_bytes(bytes, 24, n + 1)
+    let offsets = RawSlice::<usize>::from_bytes(bytes, 24, offset_slots(n)?)
         .ok_or_else(|| bad("truncated offset section"))?;
-    let edges = RawSlice::<VertexId>::from_bytes(bytes, 24 + 8 * (n + 1), m)
+    // The offset section fits in the mapping, so its end cannot overflow.
+    let edges = RawSlice::<VertexId>::from_bytes(bytes, 24 + 8 * offsets.as_slice().len(), m)
         .ok_or_else(|| bad("truncated edge section"))?;
     if offsets.as_slice().last() != Some(&m) {
         return Err(bad("offset/edge count mismatch"));
@@ -289,32 +316,22 @@ pub fn read_compressed<R: Read>(r: R) -> io::Result<CompressedCsr> {
     if &magic != COMPRESSED_MAGIC {
         return Err(bad("bad magic"));
     }
-    let mut b8 = [0u8; 8];
-    r.read_exact(&mut b8)?;
-    let n = u64::from_le_bytes(b8) as usize;
-    r.read_exact(&mut b8)?;
-    let arcs = u64::from_le_bytes(b8) as usize;
-    r.read_exact(&mut b8)?;
-    let blocks_len = u64::from_le_bytes(b8) as usize;
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        r.read_exact(&mut b8)?;
-        offsets.push(u64::from_le_bytes(b8) as usize);
-    }
+    let n = usize_le(read_word(&mut r)?);
+    let arcs = usize_le(read_word(&mut r)?);
+    let blocks_len = usize_le(read_word(&mut r)?);
+    let offsets = read_words(&mut r, offset_slots(n)?, usize_le)?;
     if offsets.last() != Some(&blocks_len) {
         return Err(bad("offset/block length mismatch"));
     }
-    let mut degrees = Vec::with_capacity(n);
-    let mut b4 = [0u8; 4];
-    for _ in 0..n {
-        r.read_exact(&mut b4)?;
-        degrees.push(u32::from_le_bytes(b4));
-    }
+    let degrees = read_words(&mut r, n, u32::from_le_bytes)?;
     if degrees.iter().map(|&d| d as usize).sum::<usize>() != arcs {
         return Err(bad("degree/arc count mismatch"));
     }
-    let mut blocks = vec![0u8; blocks_len];
-    r.read_exact(&mut blocks)?;
+    let mut blocks = Vec::new();
+    r.by_ref().take(blocks_len as u64).read_to_end(&mut blocks)?;
+    if blocks.len() != blocks_len {
+        return Err(io::ErrorKind::UnexpectedEof.into());
+    }
     let mut pad = [0u8; crate::compressed::BLOCK_PAD];
     r.read_exact(&mut pad).map_err(|_| bad("missing block pad section"))?;
     // Full block validation up front: the peel-loop decoder reads the
@@ -354,9 +371,11 @@ fn map_compressed_impl(path: &Path) -> io::Result<CompressedCsr> {
     let n = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
     let arcs = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
     let blocks_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
-    let offsets = RawSlice::<usize>::from_bytes(bytes, 32, n + 1)
+    let offsets = RawSlice::<usize>::from_bytes(bytes, 32, offset_slots(n)?)
         .ok_or_else(|| bad("truncated offset section"))?;
-    let degrees_at = 32 + 8 * (n + 1);
+    // Each section below fits in the mapping before the next offset is
+    // computed, so none of the offsets can overflow.
+    let degrees_at = 32 + 8 * offsets.as_slice().len();
     let degrees = RawSlice::<u32>::from_bytes(bytes, degrees_at, n)
         .ok_or_else(|| bad("truncated degree section"))?;
     let blocks_at = degrees_at + 4 * n;
@@ -398,6 +417,38 @@ mod tests {
         let dir = std::env::temp_dir().join("kcore_io_test");
         std::fs::create_dir_all(&dir).unwrap();
         dir.join(name)
+    }
+
+    #[test]
+    fn oversized_headers_are_errors_not_aborts() {
+        // Header sizes are untrusted: a few bytes claiming 2^36 vertices
+        // (or edges, or block bytes), or a vertex count whose offset
+        // slot count overflows, must come back as `Err` from every
+        // reader instead of aborting on the allocation.
+        let huge = 1u64 << 36;
+        let with_header = |magic: &[u8; 8], words: &[u64]| {
+            let mut bytes = magic.to_vec();
+            for w in words {
+                bytes.extend_from_slice(&w.to_le_bytes());
+            }
+            bytes
+        };
+        for (i, words) in [[huge, 0, 0], [u64::MAX, 0, 0], [0, huge, 0]].iter().enumerate() {
+            let bytes = with_header(BINARY_MAGIC, words);
+            assert!(read_binary(&bytes[..]).is_err(), "read_binary accepted {words:?}");
+            let path = temp_path(&format!("oversized_{i}.bin"));
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(map_binary(&path).is_err(), "map_binary accepted {words:?}");
+        }
+        for (i, words) in
+            [[huge, 0, 0, 0], [u64::MAX, 0, 0, 0], [0, 0, huge, huge]].iter().enumerate()
+        {
+            let bytes = with_header(COMPRESSED_MAGIC, words);
+            assert!(read_compressed(&bytes[..]).is_err(), "read_compressed accepted {words:?}");
+            let path = temp_path(&format!("oversized_{i}.kgc"));
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(map_compressed(&path).is_err(), "map_compressed accepted {words:?}");
+        }
     }
 
     #[test]
