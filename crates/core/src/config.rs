@@ -216,10 +216,12 @@ pub struct Sampling {
     /// Minimum initial degree for a vertex to enter sample mode.
     pub threshold: u32,
     /// Sampling rate exponent: each edge is sampled with probability
-    /// `2^-rate_log2`.
+    /// `2^-rate_log2`. Any value is accepted; from 64 on no edge is
+    /// sampled, and every recount then comes from validation.
     pub rate_log2: u32,
     /// Additive slack on the recount watermarks. Larger slack means
-    /// earlier recounts (more exact work, smaller failure probability).
+    /// earlier recounts (more exact work, smaller failure probability);
+    /// the watermarks saturate at `u32::MAX`.
     pub slack: u32,
     /// End-of-round validation policy.
     pub validation: Validation,
@@ -251,11 +253,15 @@ impl Sampling {
 /// How sample-mode vertices are validated at the end of each round.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Validation {
-    /// Exactly re-count **every** live sample-mode vertex when a round's
-    /// frontier drains. Deterministically exact (the round-start
+    /// When round `k`'s frontier drains, exactly re-count every live
+    /// sample-mode vertex whose induced degree may have fallen to
+    /// `k + 1` or below. Deterministically exact: the round-start
     /// invariant "every live vertex has induced degree > k" is verified
-    /// outright), at `O(Σ d(v))` extra work over sampled vertices per
-    /// round. The default, and the mode the oracle test matrix runs.
+    /// outright. The work is output-sensitive: a vertex is skipped when
+    /// no neighbor died since its last recount, or when its last count
+    /// minus the vertices settled since then is still at least `k + 2`,
+    /// so empty rounds cost no recounts. The default, and the mode the
+    /// oracle test matrix runs.
     #[default]
     Full,
     /// Re-count only vertices whose sampled counter sits below the

@@ -205,4 +205,22 @@ mod tests {
             }
         }
     }
+
+    /// A ghost's priority is a pinned coreness over a single incidence,
+    /// not its incident count, so it must stay out of sample mode: a
+    /// recount would read its one incidence and settle it rounds early.
+    #[test]
+    fn sampling_leaves_ghosts_exact() {
+        let g = gen::barabasi_albert(400, 6, 0);
+        let want = bz_coreness(&g);
+        let overlay = OverlayGraph::new(g);
+        let sampling = Some(crate::Sampling::with_threshold(4));
+        let config = Config::with_techniques(crate::Techniques { sampling, ..Default::default() });
+        let region: Vec<u32> = (0..400).step_by(7).collect();
+        let sub = peel_subset(&overlay, &want, &region, config);
+        assert!(sub.ghosts > 0);
+        let expect: Vec<u32> = region.iter().map(|&v| want[v as usize]).collect();
+        assert_eq!(sub.coreness, expect);
+        assert_eq!(sub.stats.restarts, 0);
+    }
 }

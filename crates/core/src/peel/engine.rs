@@ -731,8 +731,12 @@ impl Step for FusedStep<'_> {
         let this = &*self;
         frontier.par_iter().for_each(|&v| vgc::peel_from(round, this, v));
         let counters = &self.counters;
+        let chased = counters.chased.load(Ordering::Relaxed) as usize;
+        if let Some(s) = &mut self.sampling {
+            s.note_settled(frontier.len() + chased);
+        }
         Wave {
-            chased: counters.chased.load(Ordering::Relaxed) as usize,
+            chased,
             work: arcs + counters.chased_work.load(Ordering::Relaxed),
             chain: counters.chain.get().max(1),
             next: refile(&mut self.bag),
@@ -751,8 +755,8 @@ impl Step for FusedStep<'_> {
     }
 
     fn round_end<P: PeelProblem>(&mut self, round: &Round<'_, P>) -> Vec<u32> {
-        // End-of-round validation: exact recounts of sample-mode
-        // elements near the boundary (all of them under
+        // End-of-round validation: exact recounts of the sample-mode
+        // elements that may have dropped to `k + 1` (all of them under
         // `Validation::Full`). Anything caught at `<= k` belongs to
         // this round and re-opens it.
         let Some(s) = &mut self.sampling else { return Vec::new() };

@@ -27,9 +27,11 @@
 //!   recount above `k` refreshes the stored priority (monotonically
 //!   decreasing) and re-files the element in the bucket structure.
 //! * **End-of-round validation** re-counts sample-mode elements when a
-//!   round's frontier drains — every live one under
-//!   [`Validation::Full`] (deterministically exact, the default), or
-//!   only those under the validation watermark for the paper-faithful
+//!   round's frontier drains. It skips every element whose outcome is
+//!   already known (see *Output-sensitive validation* below); of the
+//!   rest it re-counts all under [`Validation::Full`]
+//!   (deterministically exact, the default), or only those under the
+//!   validation watermark for the paper-faithful
 //!   [`Validation::Watermark`] fast path
 //!   ([`kcore_parallel::RunStats::validate_calls`]).
 //! * **Frontier validation** re-counts sample-mode elements surfacing
@@ -44,6 +46,36 @@
 //! A sample-mode element is therefore **never peeled on approximate
 //! evidence** — every settle is preceded by an exact recount — which is
 //! how the scheme stays oracle-identical while shedding contention.
+//!
+//! ## Output-sensitive validation
+//!
+//! A *gap recount* runs in the sequential gap between rounds, so its
+//! count is exact. Two facts let the end-of-round validation of round
+//! `k` skip elements without losing that exactness:
+//!
+//! * **Touched filter.** Every removal of an incident element sets the
+//!   element's `touched` flag; a gap recount clears it. An untouched
+//!   element has lost nothing since its last gap recount (or since the
+//!   run began), so its stored priority *is* its exact count and the
+//!   bucket structure files it there: the bucket surfaces it in the
+//!   right round, and the frontier validation confirms it. Empty rounds
+//!   therefore cost no recounts at all.
+//! * **Settled-count lower bound.** A gap recount records its count
+//!   `base` and the number of elements settled so far. If `since`
+//!   elements settled after that, the element has lost at most `since`
+//!   units, so its count is at least `base - since`. At `k + 2` or
+//!   more it neither belongs to round `k` nor to round `k + 1`'s
+//!   initial frontier, and the recount waits for a later round end.
+//!
+//! The invariant `Validation::Full` keeps at every round start `k` is
+//! therefore: every live sample-mode element counts at least `k`, and
+//! every one that counts exactly `k` is stored at `k`. Elements above
+//! may carry a stale (larger) stored priority; it is still an upper
+//! bound, and they are re-examined at every round end until a recount
+//! refreshes it. Mid-round recounts may overstate a count, so they
+//! refresh the stored priority but never the lower-bound record. Only
+//! [`crate::RoundPolicy::MinBucket`] floors (`floor = k`) need the
+//! argument: sampling is rejected under threshold rounds.
 //!
 //! ## Watermark constants
 //!
@@ -106,33 +138,51 @@ pub(crate) struct SamplingState {
     /// Elements that entered sample mode, pruned of dead entries at
     /// each end-of-round validation.
     sampled: Vec<u32>,
+    /// Per-element: an incident element settled since the last gap
+    /// recount. Set on every removal, cleared only by gap recounts.
+    touched: Vec<AtomicBool>,
+    /// Per-element exact count at the last gap recount (the initial
+    /// priority before any).
+    base: Vec<AtomicU32>,
+    /// Per-element `settled_total` when `base` was taken.
+    stamp: Vec<AtomicU32>,
+    /// Elements settled so far in this attempt.
+    settled_total: u32,
 }
 
 impl SamplingState {
     /// Builds sample-mode state for every element whose initial
-    /// priority reaches the threshold; `None` when no element qualifies
-    /// (the run then skips the sampling hooks entirely).
+    /// priority reaches the threshold and equals its incident count;
+    /// `None` when no element qualifies (the run then skips the
+    /// sampling hooks entirely).
     pub(crate) fn build(
         inc: &dyn UnitIncidence,
         init_priorities: &[u32],
         cfg: Sampling,
     ) -> Option<Self> {
         let n = init_priorities.len();
-        let sampled = pack_index(n, |v| init_priorities[v] >= cfg.threshold);
+        // Recounts measure the live incident count, and the lower bound
+        // takes the initial priority as the first exact count, so an
+        // element whose priority is something else stays exact (region
+        // re-peel ghosts carry a pinned coreness over one incidence).
+        let qualifies = |v: usize| {
+            init_priorities[v] >= cfg.threshold
+                && init_priorities[v] as usize == inc.num_incident(v as u32)
+        };
+        let sampled = pack_index(n, qualifies);
         if sampled.is_empty() {
             return None;
         }
-        let mask = (1u64 << cfg.rate_log2) - 1;
+        // Rates at or past `2^-64` sample no incidence at all.
+        let mask = 1u64.checked_shl(cfg.rate_log2).map_or(u64::MAX, |bit| bit - 1);
         let log2_n = (usize::BITS - n.max(2).next_power_of_two().leading_zeros() - 1).max(1);
-        let state: Vec<AtomicU8> = init_priorities
-            .iter()
-            .map(|&d| AtomicU8::new(if d >= cfg.threshold { SAMPLED } else { EXACT }))
-            .collect();
+        let state: Vec<AtomicU8> =
+            (0..n).map(|v| AtomicU8::new(if qualifies(v) { SAMPLED } else { EXACT })).collect();
         let approx: Vec<AtomicU32> = (0..n as u32)
             .into_par_iter()
             .map(|v| {
                 let mut count = 0u32;
-                if init_priorities[v as usize] >= cfg.threshold {
+                if qualifies(v as usize) {
                     // Streaming walk: no incident slice is held, so this
                     // is safe on decode-on-the-fly backends.
                     inc.for_each_incident(v, &mut |u| {
@@ -144,7 +194,18 @@ impl SamplingState {
                 AtomicU32::new(count)
             })
             .collect();
-        Some(Self { cfg, mask, log2_n, state, approx, sampled })
+        Some(Self {
+            cfg,
+            mask,
+            log2_n,
+            state,
+            approx,
+            sampled,
+            touched: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            base: init_priorities.iter().map(|&d| AtomicU32::new(d)).collect(),
+            stamp: (0..n).map(|_| AtomicU32::new(0)).collect(),
+            settled_total: 0,
+        })
     }
 
     /// Number of elements that entered sample mode.
@@ -161,10 +222,10 @@ impl SamplingState {
     }
 
     /// Processes the removal of incidence `(src, u)` for a sample-mode
-    /// `u`: decrement the sampled counter if the incidence is in the
-    /// sample, and recount exactly when the counter crosses the trigger
-    /// watermark (or bottoms out — past zero the approximation carries
-    /// no signal).
+    /// `u`: mark `u` touched, decrement the sampled counter if the
+    /// incidence is in the sample, and recount exactly when the counter
+    /// crosses the trigger watermark (or bottoms out — past zero the
+    /// approximation carries no signal).
     #[inline]
     pub(crate) fn on_neighbor_removed<P: PeelProblem>(
         &self,
@@ -173,6 +234,12 @@ impl SamplingState {
         round: &Round<'_, P>,
         step: &FusedStep<'_>,
     ) {
+        // Load first: a hot element sees read-shared loads, not a store
+        // per removal.
+        let touched = &self.touched[u as usize];
+        if !touched.load(Ordering::Relaxed) {
+            touched.store(true, Ordering::Relaxed);
+        }
         if !edge_sampled(src, u, self.cfg.seed, self.mask) {
             return;
         }
@@ -207,7 +274,12 @@ impl SamplingState {
             return;
         }
         counter!(step.counters.resamples, "sampling.resamples", 1);
-        if self.recount(u, round, step.inc) <= round.floor {
+        // Streaming walk: this recount fires *inside* a neighbor walk of
+        // the peel loop, so the outer `incident` slice is live — the
+        // buffer-free form is required on decode-on-the-fly backends.
+        let mut counts = Counts::default();
+        step.inc.for_each_incident(u, &mut |w| self.tally(u, w, round.settled, &mut counts));
+        if self.apply(u, counts, round) <= round.floor {
             // The round-start invariant puts the priority at >= k when
             // the round opened, so the drop to <= k happened during this
             // round: the settle round is k. Claimed before inserting so
@@ -218,12 +290,11 @@ impl SamplingState {
         }
     }
 
-    /// Re-counts `v` exactly and returns the count. At or below the
+    /// Acts on a recount of `v` and returns the count. At or below the
     /// round's floor `v` is claimed for the round; otherwise its stored
     /// priority and sampled count are refreshed and it re-files in the
     /// bucket structure.
-    fn recount<P>(&self, v: u32, round: &Round<'_, P>, inc: &dyn UnitIncidence) -> u32 {
-        let (exact, fresh) = self.count_exact(v, inc, round.settled);
+    fn apply<P>(&self, v: u32, Counts { exact, fresh }: Counts, round: &Round<'_, P>) -> u32 {
         if exact <= round.floor {
             self.state[v as usize].store(CLAIMED, Ordering::Relaxed);
         } else if let Some(old) = store_decreased(&round.prio[v as usize], exact) {
@@ -257,7 +328,7 @@ impl SamplingState {
             // The stored priority (== k, or the bucket would not have
             // surfaced v) upper-bounds the truth, so the recount claims
             // v, and anything below k is pollution.
-            let exact = self.recount(v, round, inc);
+            let exact = self.gap_recount(v, round, inc);
             debug_assert!(exact <= round.floor);
             if exact < round.floor {
                 polluted.store(true, Ordering::Relaxed);
@@ -270,11 +341,11 @@ impl SamplingState {
         }
     }
 
-    /// End-of-round validation: exactly re-counts live sample-mode
-    /// elements (all of them under [`Validation::Full`], those under
-    /// the validation watermark otherwise) and returns the ones whose
-    /// true priority already reached `k` — they re-open the round. Runs
-    /// in the sequential gap, so counts are exact.
+    /// End-of-round validation: exactly re-counts the live sample-mode
+    /// elements whose count may have reached `k + 1` (all of them under
+    /// [`Validation::Full`], those under the validation watermark
+    /// otherwise; see the module docs for the skips) and returns the
+    /// ones whose count already reached `k` — they re-open the round.
     pub(crate) fn validate_round_end<P: PeelProblem>(
         &mut self,
         round: &Round<'_, P>,
@@ -289,41 +360,62 @@ impl SamplingState {
         this.sampled
             .par_iter()
             .filter_map(|&v| {
-                if this.state[v as usize].load(Ordering::Relaxed) != SAMPLED {
+                let i = v as usize;
+                if this.state[i].load(Ordering::Relaxed) != SAMPLED
+                    || !this.touched[i].load(Ordering::Relaxed)
+                {
                     return None;
                 }
-                if !full && this.approx[v as usize].load(Ordering::Relaxed) > vwm {
+                let base = this.base[i].load(Ordering::Relaxed);
+                let since = this.settled_total - this.stamp[i].load(Ordering::Relaxed);
+                if stays_above_next_round(base, since, round.floor) {
+                    return None;
+                }
+                if !full && this.approx[i].load(Ordering::Relaxed) > vwm {
                     return None;
                 }
                 counter!(counters.validate_calls, "sampling.validate_calls", 1);
                 counter!(counters.resamples, "sampling.resamples", 1);
-                (this.recount(v, round, inc) <= round.floor).then_some(v)
+                (this.gap_recount(v, round, inc) <= round.floor).then_some(v)
             })
             .collect()
     }
 
-    /// Exact live-incidence count of `v`, plus the count restricted to
-    /// sampled incidences (the refreshed approximation). During a
-    /// subround a concurrent settle can be missed — counted as still
-    /// alive — so the result only ever *over*states the truth, which
-    /// keeps the stored priority an upper bound; in the sequential gaps
-    /// it is exact.
-    fn count_exact(&self, v: u32, inc: &dyn UnitIncidence, settled: &[AtomicU32]) -> (u32, u32) {
-        let mut exact = 0u32;
-        let mut fresh = 0u32;
-        // Streaming walk: recounts fire *inside* a neighbor walk of the
-        // peel loop (`on_neighbor_removed` → `recount_in_round`), so the
-        // outer `incident` slice is live — the buffer-free form is
-        // required here on decode-on-the-fly backends.
-        inc.for_each_incident(v, &mut |w| {
-            if settled[w as usize].load(Ordering::Relaxed) == UNSET {
-                exact += 1;
-                if edge_sampled(v, w, self.cfg.seed, self.mask) {
-                    fresh += 1;
-                }
+    /// Records `count` more settled elements (after each subround).
+    pub(crate) fn note_settled(&mut self, count: usize) {
+        self.settled_total += count as u32;
+    }
+
+    /// Re-counts `v` in the sequential gap between rounds, where the
+    /// count is exact: clears `touched`, records the count as the new
+    /// lower-bound base, and acts on it like any recount.
+    fn gap_recount<P>(&self, v: u32, round: &Round<'_, P>, inc: &dyn UnitIncidence) -> u32 {
+        let i = v as usize;
+        self.touched[i].store(false, Ordering::Relaxed);
+        // No outer `incident` slice is live in the gap, so the slice
+        // walk is allowed (see the `UnitIncidence` slice discipline).
+        let mut counts = Counts::default();
+        for &w in inc.incident(v) {
+            self.tally(v, w, round.settled, &mut counts);
+        }
+        self.base[i].store(counts.exact, Ordering::Relaxed);
+        self.stamp[i].store(self.settled_total, Ordering::Relaxed);
+        self.apply(v, counts, round)
+    }
+
+    /// Counts incidence `(v, w)` if `w` is live. During a subround a
+    /// concurrent settle can be missed — counted as still alive — so a
+    /// mid-round recount only ever *over*states the truth, which keeps
+    /// the stored priority an upper bound; in the sequential gaps it is
+    /// exact.
+    #[inline]
+    fn tally(&self, v: u32, w: u32, settled: &[AtomicU32], counts: &mut Counts) {
+        if settled[w as usize].load(Ordering::Relaxed) == UNSET {
+            counts.exact += 1;
+            if edge_sampled(v, w, self.cfg.seed, self.mask) {
+                counts.fresh += 1;
             }
-        });
-        (exact, fresh)
+        }
     }
 
     /// Sampled-counter level at which a mid-round removal triggers a
@@ -331,15 +423,32 @@ impl SamplingState {
     /// Chernoff deviation term, plus the configured flat slack (see the
     /// module docs for the delta discussion).
     fn trigger_watermark(&self, k: u32) -> u32 {
-        let base = (k + 1) >> self.cfg.rate_log2;
-        base + deviation(base, self.log2_n) + self.cfg.slack
+        let base = k.saturating_add(1).checked_shr(self.cfg.rate_log2).unwrap_or(0);
+        base.saturating_add(deviation(base, self.log2_n)).saturating_add(self.cfg.slack)
     }
 
     /// More generous end-of-round bound: catches elements whose trigger
     /// crossing was skipped (the watermark moves up as `k` grows).
     fn validation_watermark(&self, k: u32) -> u32 {
-        self.trigger_watermark(k) * 2
+        self.trigger_watermark(k).saturating_mul(2)
     }
+}
+
+/// A recount's result: the live incident elements, and those of them
+/// whose incidence is sampled (the refreshed approximation).
+#[derive(Default, Clone, Copy)]
+struct Counts {
+    exact: u32,
+    fresh: u32,
+}
+
+/// Whether an element whose gap recount found `base` live incidences,
+/// `since` settles ago, is sure to count at least `floor + 2` now: each
+/// settle costs it at most one unit. Such an element neither belongs
+/// to the round of clamp floor `floor` nor to the next round's initial
+/// frontier, so its end-of-round recount can wait.
+fn stays_above_next_round(base: u32, since: u32, floor: u32) -> bool {
+    u64::from(base.saturating_sub(since)) >= u64::from(floor) + 2
 }
 
 /// Chernoff deviation `ceil(√(3 · base · log₂ n))`: a counter with mean
@@ -463,6 +572,38 @@ mod tests {
         // Round 7: base = 8 >> 2 = 2, deviation = ceil(sqrt(3*2*6)) = 6.
         assert_eq!(s.trigger_watermark(7), 2 + 6 + 5);
         assert_eq!(s.validation_watermark(7), (2 + 6 + 5) * 2);
+    }
+
+    #[test]
+    fn skip_bound_is_tight_at_the_next_round() {
+        // base - since == floor + 1: the element may open round
+        // floor + 1, so it must be recounted.
+        assert!(!stays_above_next_round(12, 2, 9));
+        // floor + 2 and above: out of reach of the next round.
+        assert!(stays_above_next_round(13, 2, 9));
+        assert!(stays_above_next_round(40, 0, 9));
+        // More settles than the base: the bound saturates at 0.
+        assert!(!stays_above_next_round(3, 10, 0));
+        assert!(!stays_above_next_round(0, u32::MAX, 0));
+        // The largest floor cannot overflow `floor + 2`.
+        assert!(!stays_above_next_round(u32::MAX, 0, u32::MAX));
+        assert!(stays_above_next_round(u32::MAX, 0, u32::MAX - 2));
+    }
+
+    #[test]
+    fn watermarks_saturate_instead_of_overflowing() {
+        let g = gen::star(40);
+        let degrees = g.degrees();
+        for rate_log2 in [31, 32, 64, u32::MAX] {
+            let cfg = Sampling { rate_log2, slack: 0, ..Sampling::with_threshold(10) };
+            let s = SamplingState::build(&g, &degrees, cfg).unwrap();
+            let expect = if rate_log2 == 31 { 1 + deviation(1, s.log2_n) } else { 0 };
+            assert_eq!(s.trigger_watermark(u32::MAX - 1), expect, "rate 2^-{rate_log2}");
+        }
+        let cfg = Sampling { slack: u32::MAX, ..Sampling::with_threshold(10) };
+        let s = SamplingState::build(&g, &degrees, cfg).unwrap();
+        assert_eq!(s.trigger_watermark(7), u32::MAX);
+        assert_eq!(s.validation_watermark(7), u32::MAX);
     }
 
     #[test]

@@ -262,6 +262,51 @@ mod tests {
     }
 
     #[test]
+    fn full_validation_recounts_only_what_may_reach_the_next_round() {
+        let techniques =
+            Techniques { sampling: Some(Sampling::with_threshold(8)), ..Techniques::default() };
+        let config = Config::with_techniques(techniques);
+        // K40: rounds 0..39 are empty and every vertex is sampled. No
+        // vertex loses a neighbor before round 39, so no round end
+        // recounts anything (the old full sweep made 1560 recounts).
+        let clique =
+            with_threads(1, || Decomposition::kcore(&gen::complete(40)).exact_config(config).run());
+        assert_eq!(clique.coreness(), &[39; 40]);
+        assert_eq!(clique.stats().validate_calls, 0, "empty rounds must cost no recounts");
+        // A planted core over a power-law fringe: exact, with far fewer
+        // recounts than the 16,098 of a full sweep at every round end.
+        let g = gen::planted_core(3000, 4, 80, 1);
+        let r = Decomposition::kcore(&g).exact_config(config).run();
+        assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
+        let calls = r.stats().validate_calls;
+        assert!(calls > 0 && calls < 16_098, "{calls} validation recounts");
+        assert_eq!(r.stats().restarts, 0);
+    }
+
+    #[test]
+    fn extreme_sampling_parameters_stay_exact() {
+        // Shift and multiply overflows in the watermarks and the sample
+        // mask used to panic debug builds; every parameter is valid.
+        let g = gen::barabasi_albert(800, 5, 4);
+        let want = bz_coreness(&g);
+        for sampling in [
+            Sampling { rate_log2: 32, ..Sampling::with_threshold(8) },
+            Sampling { rate_log2: 64, ..Sampling::with_threshold(8) },
+            Sampling { rate_log2: u32::MAX, ..Sampling::with_threshold(8) },
+            Sampling { slack: u32::MAX, ..Sampling::with_threshold(8) },
+        ] {
+            for validation in [Validation::Full, Validation::Watermark] {
+                let sampling = Some(Sampling { validation, ..sampling });
+                let techniques = Techniques { sampling, ..Techniques::default() };
+                let r = Decomposition::kcore(&g)
+                    .exact_config(Config::with_techniques(techniques))
+                    .run();
+                assert_eq!(r.coreness(), want.as_slice(), "{sampling:?}");
+            }
+        }
+    }
+
+    #[test]
     fn vgc_collapses_subrounds_on_a_path() {
         // A path peels inward from both ends: without VGC that is ~n/2
         // subrounds of 2 vertices; with VGC one worker chases the whole

@@ -75,7 +75,8 @@ pub struct RunStats {
     pub sampled_vertices: u64,
     /// Resample operations performed.
     pub resamples: u64,
-    /// Validation calls performed.
+    /// End-of-round validation recounts actually performed (skipped
+    /// vertices are not counted).
     pub validate_calls: u64,
     /// Sampling error-recovery restarts (expected 0; Las-Vegas safety).
     pub restarts: u64,
