@@ -26,10 +26,6 @@ pub struct Config {
     /// How per-round initial frontiers are produced (the third axis of
     /// the paper's Tab. 3 ablation).
     pub bucket_strategy: BucketStrategy,
-    /// Round at which [`BucketStrategy::Adaptive`] switches from the
-    /// flat active array to HBS (the paper's θ; Sec. 5.3). Ignored by
-    /// the other strategies.
-    pub adaptive_theta: u32,
     /// Whether to fill [`kcore_parallel::RunStats`] (rounds, subrounds,
     /// work, burdened span). Cheap relative to the peeling itself, so
     /// on by default; benchmarks can turn it off.
@@ -39,11 +35,14 @@ pub struct Config {
     pub techniques: Techniques,
 }
 
+/// Round at which [`BucketStrategy::Adaptive`] switches from the flat
+/// active array to HBS: the paper's θ = 16 (Sec. 5.3).
+pub(crate) const ADAPTIVE_THETA: u32 = 16;
+
 impl Default for Config {
     fn default() -> Self {
         Self {
             bucket_strategy: BucketStrategy::Adaptive,
-            adaptive_theta: 16,
             collect_stats: true,
             techniques: Techniques::default(),
         }
@@ -59,92 +58,6 @@ impl Config {
     /// Config using a specific techniques block, other fields default.
     pub fn with_techniques(techniques: Techniques) -> Self {
         Self { techniques, ..Self::default() }
-    }
-
-    /// Applies the `KCORE_TECHNIQUES` environment override, if set.
-    ///
-    /// The variable holds a comma-separated subset of `sampling`, `vgc`,
-    /// `offline`, or the shorthand `all` (= `sampling,vgc`). CI uses it
-    /// to force the techniques subsystem on for the whole test suite, so
-    /// the default-off configuration cannot silently rot. Overrides only
-    /// ever *enable* features (with their default parameters); an unset
-    /// or empty variable leaves the config untouched.
-    pub fn apply_env_overrides(self) -> Self {
-        self.apply_env_overrides_filtered(&["sampling", "vgc", "offline"])
-    }
-
-    /// Applies the `KCORE_TECHNIQUES` environment override restricted
-    /// to `supported` tokens; known-but-unsupported tokens are dropped,
-    /// unknown tokens still panic.
-    ///
-    /// This is the env-override entry for problems whose axes reject
-    /// some techniques outright ([`crate::Decomposition::approx_densest`],
-    /// [`crate::Decomposition::khcore`]): the engine panics on an *explicitly*
-    /// configured sampling/offline block under threshold rounds or
-    /// recompute incidences, but a CI matrix leg forcing
-    /// `KCORE_TECHNIQUES=offline` over the whole suite is a blanket
-    /// request, not a per-problem one — those problems honor the tokens
-    /// that apply to them and drop the rest, so the forced legs still
-    /// exercise every problem instead of tripping the combination
-    /// guard.
-    pub fn apply_env_overrides_filtered(self, supported: &[&str]) -> Self {
-        match std::env::var("KCORE_TECHNIQUES") {
-            Ok(spec) => self.apply_techniques_spec_filtered(&spec, supported),
-            Err(_) => self,
-        }
-    }
-
-    /// Applies a `KCORE_TECHNIQUES`-style spec string (see
-    /// [`Config::apply_env_overrides`]). Split out so the parsing is
-    /// testable without mutating process environment.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown tokens — a misspelled CI override should fail
-    /// loudly, not silently run the baseline.
-    pub fn apply_techniques_spec(self, spec: &str) -> Self {
-        self.apply_techniques_spec_filtered(spec, &["sampling", "vgc", "offline"])
-    }
-
-    /// Spec application restricted to `supported` tokens (the testable
-    /// core of [`Config::apply_env_overrides_filtered`]). The `all`
-    /// shorthand expands to `sampling,vgc` first and each component is
-    /// filtered individually.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unknown tokens, exactly like
-    /// [`Config::apply_techniques_spec`].
-    pub fn apply_techniques_spec_filtered(mut self, spec: &str, supported: &[&str]) -> Self {
-        let on = |name: &str| supported.contains(&name);
-        for token in spec.split(',').map(str::trim).filter(|t| !t.is_empty()) {
-            match token {
-                "sampling" if on("sampling") => {
-                    self.techniques.sampling.get_or_insert_with(Sampling::default);
-                }
-                "vgc" if on("vgc") => {
-                    self.techniques.vgc.get_or_insert_with(Vgc::default);
-                }
-                "offline" if on("offline") => {
-                    self.techniques.mode = PeelMode::Offline(Offline::default());
-                }
-                "all" => {
-                    if on("sampling") {
-                        self.techniques.sampling.get_or_insert_with(Sampling::default);
-                    }
-                    if on("vgc") {
-                        self.techniques.vgc.get_or_insert_with(Vgc::default);
-                    }
-                }
-                // Known token, filtered out for this problem's axes.
-                "sampling" | "vgc" | "offline" => {}
-                other => panic!(
-                    "KCORE_TECHNIQUES: unknown token {other:?} \
-                     (valid: sampling, vgc, offline, all)"
-                ),
-            }
-        }
-        self
     }
 }
 
@@ -179,7 +92,7 @@ impl Techniques {
     /// Offline histogram peeling with default parameters (sampling and
     /// VGC are online-only and stay off).
     pub fn offline() -> Self {
-        Self { sampling: None, vgc: None, mode: PeelMode::Offline(Offline::default()) }
+        Self { sampling: None, vgc: None, mode: PeelMode::Offline }
     }
 }
 
@@ -191,8 +104,11 @@ pub enum PeelMode {
     Online,
     /// Julienne-style offline peeling: per subround, gather the
     /// frontier's neighborhood, histogram it, and apply bulk decrements
-    /// — no per-edge atomics, more global synchronizations.
-    Offline(Offline),
+    /// — no per-edge atomics, more global synchronizations. Each
+    /// subround's histogram picks sort or atomic counting from the
+    /// gathered list's density
+    /// ([`kcore_parallel::histogram::histogram_auto`]).
+    Offline,
 }
 
 /// Parameters of the sampling scheme (Sec. 4.1).
@@ -288,38 +204,22 @@ impl Default for Vgc {
     }
 }
 
-/// Parameters of the offline (Julienne-style) driver.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Offline {
-    /// Which histogram implementation counts the gathered neighborhood.
-    pub histogram: HistogramKind,
-}
-
-/// Histogram implementation selector for offline peeling (see
-/// [`kcore_parallel::histogram`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum HistogramKind {
-    /// Pick per subround: atomic counting when the gathered list is
-    /// dense relative to the vertex set, sort + run-length encode
-    /// otherwise.
-    #[default]
-    Auto,
-    /// Always parallel sort + run-length encode (`O(t log t)` work).
-    Sort,
-    /// Always atomic counting into a vertex-indexed array
-    /// (`O(t + n)` work).
-    Atomic,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::parse_one;
+
+    /// `config` with the techniques of a `KCORE_TECHNIQUES` spec forced
+    /// on, for a problem that accepts sampling and offline or not.
+    fn forced(config: Config, spec: &str, accepts_sampling_and_offline: bool) -> Config {
+        parse_one("KCORE_TECHNIQUES", spec).techniques.apply(config, accepts_sampling_and_offline)
+    }
 
     #[test]
     fn defaults_match_the_papers_final_design() {
         let c = Config::default();
         assert_eq!(c.bucket_strategy, BucketStrategy::Adaptive);
-        assert_eq!(c.adaptive_theta, 16);
+        assert_eq!(ADAPTIVE_THETA, 16);
         assert!(c.collect_stats);
         // Techniques are opt-in: the default config is the plain
         // framework (the ablation baseline).
@@ -333,7 +233,7 @@ mod tests {
     fn with_strategy_overrides_only_the_strategy() {
         let c = Config::with_strategy(BucketStrategy::Fixed(16));
         assert_eq!(c.bucket_strategy, BucketStrategy::Fixed(16));
-        assert_eq!(c.adaptive_theta, Config::default().adaptive_theta);
+        assert_eq!(Config { bucket_strategy: BucketStrategy::Adaptive, ..c }, Config::default());
     }
 
     #[test]
@@ -348,31 +248,31 @@ mod tests {
     #[test]
     fn offline_preset_selects_the_offline_driver() {
         let t = Techniques::offline();
-        assert!(matches!(t.mode, PeelMode::Offline(_)));
+        assert_eq!(t.mode, PeelMode::Offline);
         assert!(t.sampling.is_none());
     }
 
     #[test]
     fn with_techniques_overrides_only_techniques() {
         let c = Config::with_techniques(Techniques::offline());
-        assert!(matches!(c.techniques.mode, PeelMode::Offline(_)));
+        assert_eq!(c.techniques.mode, PeelMode::Offline);
         assert_eq!(c.bucket_strategy, Config::default().bucket_strategy);
     }
 
     #[test]
     fn techniques_spec_enables_features() {
-        let c = Config::default().apply_techniques_spec("sampling,vgc");
+        let c = forced(Config::default(), "sampling,vgc", true);
         assert!(c.techniques.sampling.is_some());
         assert!(c.techniques.vgc.is_some());
         assert_eq!(c.techniques.mode, PeelMode::Online);
 
-        let c = Config::default().apply_techniques_spec("all,offline");
+        let c = forced(Config::default(), "all,offline", true);
         assert!(c.techniques.sampling.is_some());
         assert!(c.techniques.vgc.is_some());
-        assert!(matches!(c.techniques.mode, PeelMode::Offline(_)));
+        assert_eq!(c.techniques.mode, PeelMode::Offline);
 
         // Empty spec and stray separators are no-ops.
-        assert_eq!(Config::default().apply_techniques_spec(" , "), Config::default());
+        assert_eq!(forced(Config::default(), " , ", true), Config::default());
     }
 
     #[test]
@@ -382,7 +282,7 @@ mod tests {
         let custom = Sampling::with_threshold(7);
         let base =
             Config::with_techniques(Techniques { sampling: Some(custom), ..Techniques::default() });
-        let c = base.apply_techniques_spec("sampling,vgc");
+        let c = forced(base, "sampling,vgc", true);
         assert_eq!(c.techniques.sampling, Some(custom));
         assert!(c.techniques.vgc.is_some());
     }
@@ -390,17 +290,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown token")]
     fn techniques_spec_rejects_typos() {
-        let _ = Config::default().apply_techniques_spec("samplign");
+        let _ = forced(Config::default(), "samplign", true);
     }
 
     #[test]
     fn filtered_spec_drops_unsupported_tokens() {
-        let c = Config::default().apply_techniques_spec_filtered("sampling,vgc,offline", &["vgc"]);
+        let c = forced(Config::default(), "sampling,vgc,offline", false);
         assert!(c.techniques.sampling.is_none(), "sampling filtered out");
         assert!(c.techniques.vgc.is_some(), "vgc passes the filter");
         assert_eq!(c.techniques.mode, PeelMode::Online, "offline filtered out");
         // The `all` shorthand filters per component.
-        let c = Config::default().apply_techniques_spec_filtered("all", &["vgc"]);
+        let c = forced(Config::default(), "all", false);
         assert!(c.techniques.sampling.is_none());
         assert!(c.techniques.vgc.is_some());
     }
@@ -408,6 +308,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "unknown token")]
     fn filtered_spec_still_rejects_typos() {
-        let _ = Config::default().apply_techniques_spec_filtered("offlien", &["vgc"]);
+        let _ = forced(Config::default(), "offlien", false);
     }
 }

@@ -22,24 +22,39 @@
 //! assert!(Decomposition::khcore(&g, 2).run().kmax() >= 2);
 //! ```
 //!
-//! # Configuration resolution
+//! # Environment overrides
 //!
-//! [`Decomposition::config`] (or the field shortcuts
-//! [`Decomposition::strategy`] / [`Decomposition::techniques`]) applies
-//! the `KCORE_TECHNIQUES` environment override at [`Decomposition::run`]
-//! — filtered to the techniques the chosen problem supports, so CI's
-//! forced-techniques matrix reaches every code path without panicking on
-//! inapplicable tokens. [`Decomposition::exact_config`] opts out of the
-//! override for callers (and tests) that assert technique-specific
-//! behavior.
+//! `run` and `members` are where the library applies the process-wide
+//! environment overrides (read once, see the crate-private `env`
+//! module):
+//!
+//! * `KCORE_TECHNIQUES` enables techniques on top of the staged config
+//!   ([`Decomposition::config`], or the field shortcuts
+//!   [`Decomposition::strategy`] / [`Decomposition::techniques`]) —
+//!   only those the chosen problem's axes accept, so CI's
+//!   forced-techniques legs reach every code path without panicking on
+//!   inapplicable tokens. [`Decomposition::exact_config`] opts out, for
+//!   callers (and tests) that assert technique-specific behavior.
+//! * `KCORE_BACKEND=compressed` re-encodes a plain-CSR input of the
+//!   k-core and densest-subgraph problems as a [`CompressedCsr`] first.
+//! * `KCORE_TRI_KERNEL` sets the kernel policy of the triangle setup
+//!   k-truss builds when no context is supplied.
+//!
+//! The backend and kernel overrides apply under `exact_config` too.
 
 use crate::config::Techniques;
-use crate::problems::{approx_densest, densest, kcore, khcore, ktruss};
+use crate::env;
+use crate::peel::engine::{accepts_sampling_and_offline, PeelEngine, PeelProblem};
+use crate::problems::approx_densest::ApproxDensestProblem;
+use crate::problems::densest::DensestProblem;
+use crate::problems::kcore::{self, KCoreProblem};
+use crate::problems::khcore::KhCoreProblem;
+use crate::problems::ktruss::KTrussProblem;
 use crate::{
     ApproxDensestResult, Config, CorenessResult, DensestResult, KhCoreResult, TrussnessResult,
 };
 use kcore_buckets::BucketStrategy;
-use kcore_graph::{CsrGraph, GraphBackend, TriangleCtx};
+use kcore_graph::{CompressedCsr, CsrGraph, GraphBackend, TriangleCtx};
 use std::fmt;
 
 /// Problem selector for k-core (see [`Decomposition::kcore`]).
@@ -128,7 +143,8 @@ impl<'g, P, G> Decomposition<'g, P, G> {
 
     /// Replaces the whole configuration and bypasses the
     /// `KCORE_TECHNIQUES` environment override — for callers (and
-    /// tests) that assert technique-specific behavior.
+    /// tests) that assert technique-specific behavior. The
+    /// `KCORE_BACKEND` and `KCORE_TRI_KERNEL` overrides still apply.
     pub fn exact_config(mut self, config: Config) -> Self {
         self.config = config;
         self.exact = true;
@@ -158,39 +174,56 @@ impl<'g, P, G> Decomposition<'g, P, G> {
         &self.config
     }
 
-    /// Resolves the effective config: env override unless exact, with
-    /// unsupported tokens dropped per problem.
-    fn resolve(&self, supported: Option<&'static [&'static str]>) -> Config {
-        if self.exact {
-            self.config
+    /// Peels `problem` with the staged config plus, unless it is exact,
+    /// the `KCORE_TECHNIQUES` techniques the problem's axes accept.
+    fn peel<Q: PeelProblem>(&self, problem: &Q) -> Q::Output {
+        let mut config = self.config;
+        if !self.exact {
+            let accepts =
+                accepts_sampling_and_offline(&problem.round_policy(), &problem.incidence());
+            config = env::overrides().techniques.apply(config, accepts);
+        }
+        PeelEngine::new(problem, config).run()
+    }
+}
+
+impl<G: GraphBackend, P> Decomposition<'_, P, G> {
+    /// The compressed re-encoding `KCORE_BACKEND=compressed` forces for
+    /// a plain-CSR input; `None` runs the graph as given.
+    fn forced_reencode(&self) -> Option<CompressedCsr> {
+        if env::overrides().compressed {
+            self.g.as_plain().map(CompressedCsr::from_graph)
         } else {
-            match supported {
-                None => self.config.apply_env_overrides(),
-                Some(tokens) => self.config.apply_env_overrides_filtered(tokens),
-            }
+            None
         }
     }
 }
 
 impl<'g, G: GraphBackend> Decomposition<'g, KcoreSpec, G> {
     /// k-core decomposition of `g`: per-vertex coreness. Accepts any
-    /// [`GraphBackend`]; the `KCORE_BACKEND` environment variable
-    /// re-encodes plain CSR inputs through the forced backend at `run`.
+    /// [`GraphBackend`]; `KCORE_BACKEND=compressed` re-encodes plain
+    /// CSR inputs at `run` and `members`.
     pub fn kcore(g: &'g G) -> Self {
         Self::with(g, KcoreSpec(()))
     }
 
     /// Runs the decomposition.
     pub fn run(self) -> CorenessResult {
-        kcore::run_kcore(self.g, self.resolve(None))
+        match self.forced_reencode() {
+            Some(g) => self.peel(&KCoreProblem { g: &g }),
+            None => self.peel(&KCoreProblem { g: self.g }),
+        }
     }
 
     /// Membership of the `k`-core (`true` = coreness `>= k`), computed
     /// directly by offline range peeling — much cheaper than a full
-    /// decomposition when only one core is needed.
+    /// decomposition when only one core is needed. Ignores the
+    /// staged config.
     pub fn members(self, k: u32) -> Vec<bool> {
-        let config = self.resolve(None);
-        kcore::members(self.g, &config, k)
+        match self.forced_reencode() {
+            Some(g) => kcore::members(&g, k),
+            None => kcore::members(self.g, k),
+        }
     }
 }
 
@@ -215,10 +248,13 @@ impl<'g> Decomposition<'g, KtrussSpec<'g>> {
 
     /// Runs the decomposition.
     pub fn run(self) -> TrussnessResult {
-        let config = self.resolve(None);
+        let g = self.g;
         match self.problem.ctx {
-            Some(ctx) => ktruss::run_ktruss(self.g, ctx, config),
-            None => ktruss::run_ktruss(self.g, &TriangleCtx::build(self.g), config),
+            Some(ctx) => self.peel(&KTrussProblem { g, ctx }),
+            None => {
+                let ctx = TriangleCtx::build_with_kernel(g, env::overrides().kernel);
+                self.peel(&KTrussProblem { g, ctx: &ctx })
+            }
         }
     }
 }
@@ -232,7 +268,10 @@ impl<'g, G: GraphBackend> Decomposition<'g, DensestSpec, G> {
 
     /// Runs the decomposition.
     pub fn run(self) -> DensestResult {
-        densest::run_densest(self.g, self.resolve(None))
+        match self.forced_reencode() {
+            Some(g) => self.peel(&DensestProblem { g: &g }),
+            None => self.peel(&DensestProblem { g: self.g }),
+        }
     }
 }
 
@@ -254,8 +293,7 @@ impl<'g> Decomposition<'g, KhCoreSpec> {
 
     /// Runs the decomposition.
     pub fn run(self) -> KhCoreResult {
-        let config = self.resolve(Some(khcore::SUPPORTED_TECHNIQUES));
-        khcore::run_khcore(self.g, config, self.problem.h)
+        self.peel(&KhCoreProblem { g: self.g, h: self.problem.h })
     }
 }
 
@@ -279,8 +317,7 @@ impl<'g> Decomposition<'g, ApproxDensestSpec> {
 
     /// Runs the decomposition.
     pub fn run(self) -> ApproxDensestResult {
-        let config = self.resolve(Some(approx_densest::SUPPORTED_TECHNIQUES));
-        approx_densest::run_approx_densest(self.g, config, self.problem.epsilon)
+        self.peel(&ApproxDensestProblem::new(self.g, self.problem.epsilon))
     }
 }
 

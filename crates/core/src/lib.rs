@@ -84,12 +84,13 @@
 pub mod bz;
 mod config;
 mod decomposition;
+mod env;
 pub mod maintain;
 mod peel;
 mod problems;
 mod result;
 
-pub use config::{Config, HistogramKind, Offline, PeelMode, Sampling, Techniques, Validation, Vgc};
+pub use config::{Config, PeelMode, Sampling, Techniques, Validation, Vgc};
 pub use decomposition::{
     ApproxDensestSpec, Decomposition, DensestSpec, KcoreSpec, KhCoreSpec, KtrussSpec,
 };

@@ -47,8 +47,9 @@
 mod region;
 mod repeel;
 
-use crate::peel::engine::{Incidence, PeelEngine, PeelProblem};
-use crate::{Config, CorenessResult};
+use crate::peel::engine::PeelEngine;
+use crate::problems::kcore::KCoreProblem;
+use crate::{env, Config, CorenessResult};
 use kcore_graph::{CsrGraph, OverlayGraph, VertexId};
 use kcore_obs::span;
 use kcore_parallel::RunStats;
@@ -138,37 +139,6 @@ impl MaintainStats {
     }
 }
 
-/// Full k-core decomposition of the overlay's logical graph — the
-/// construction-time and fallback path. An ordinary unit-incidence
-/// problem: the overlay serves merged adjacency slices directly.
-struct LogicalKCore<'g> {
-    g: &'g OverlayGraph,
-}
-
-impl PeelProblem for LogicalKCore<'_> {
-    type Output = (Vec<u32>, RunStats);
-
-    fn name(&self) -> &'static str {
-        "k-core/logical"
-    }
-
-    fn num_elements(&self) -> usize {
-        self.g.num_vertices()
-    }
-
-    fn init_priorities(&self) -> Vec<u32> {
-        self.g.degrees()
-    }
-
-    fn incidence(&self) -> Incidence<'_> {
-        Incidence::Unit(self.g)
-    }
-
-    fn assemble(&self, rounds: Vec<u32>, stats: RunStats) -> Self::Output {
-        (rounds, stats)
-    }
-}
-
 /// A graph under edge-batch mutation with its coreness decomposition
 /// maintained incrementally. See the [module docs](self) for the
 /// lifecycle and the algorithm.
@@ -187,11 +157,12 @@ impl DynamicGraph {
     pub const DEFAULT_COMPACTION_FRACTION: f64 = 0.5;
 
     /// Wraps `base` and computes its initial decomposition (version 0)
-    /// with the given configuration, after applying the
-    /// `KCORE_TECHNIQUES` environment override (see
-    /// [`Config::apply_env_overrides`]).
+    /// with the given configuration, after enabling the techniques the
+    /// `KCORE_TECHNIQUES` environment override forces. The overlay is
+    /// not plain CSR, so `KCORE_BACKEND` does not apply.
     pub fn new(base: CsrGraph, config: Config) -> Self {
-        Self::build(base, config.apply_env_overrides())
+        // k-core accepts every technique.
+        Self::build(base, env::overrides().techniques.apply(config, true))
     }
 
     /// Like [`DynamicGraph::new`] but takes `config` exactly as given,
@@ -202,8 +173,7 @@ impl DynamicGraph {
 
     fn build(base: CsrGraph, config: Config) -> Self {
         let graph = OverlayGraph::new(base);
-        let (coreness, stats) = PeelEngine::new(&LogicalKCore { g: &graph }, config).run();
-        let result = CorenessResult::new(coreness, stats);
+        let result = PeelEngine::new(&KCoreProblem { g: &graph }, config).run();
         Self {
             graph,
             config,
@@ -321,10 +291,9 @@ impl DynamicGraph {
         let ((region_vertices, coreness), repeel_nanos) =
             kcore_obs::timed("maintain.repeel", || {
                 if stats.full_recompute {
-                    let (coreness, run) =
-                        PeelEngine::new(&LogicalKCore { g: &self.graph }, self.config).run();
-                    stats.repeel = run;
-                    (None, coreness)
+                    let full = PeelEngine::new(&KCoreProblem { g: &self.graph }, self.config).run();
+                    stats.repeel = full.stats().clone();
+                    (None, full.into_coreness())
                 } else {
                     let sub = repeel::peel_subset(
                         &self.graph,

@@ -43,7 +43,7 @@
 
 use super::sampling::SamplingState;
 use super::{offline, vgc};
-use crate::config::PeelMode;
+use crate::config::{PeelMode, ADAPTIVE_THETA};
 use crate::Config;
 use kcore_buckets::{BucketStrategy, BucketStructure, HierarchicalBuckets, PriorityView};
 use kcore_check::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -337,10 +337,8 @@ pub trait PeelProblem: Sync {
 /// The generic peeling engine: Alg. 1's round/subround loop with the
 /// Sec. 4 techniques, parameterized by a [`PeelProblem`].
 ///
-/// The engine runs `config` exactly as given — apply
-/// [`Config::apply_env_overrides`] first if the `KCORE_TECHNIQUES`
-/// override should be honored ([`crate::Decomposition`] does this at
-/// `run` unless `exact_config` was used).
+/// The engine runs `config` exactly as given; the environment overrides
+/// are applied by the facade ([`crate::Decomposition`] at `run`).
 pub struct PeelEngine<'p, P: PeelProblem> {
     problem: &'p P,
     config: Config,
@@ -412,8 +410,8 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
         let init = problem.init_priorities();
         let policy = problem.round_policy();
         match (config.techniques.mode, problem.incidence()) {
-            (PeelMode::Offline(off), incidence) => {
-                let step = offline::OfflineStep::new(off, incidence, n);
+            (PeelMode::Offline, incidence) => {
+                let step = offline::OfflineStep::new(incidence, n);
                 run_rounds(config, problem, &policy, init, step, stats)
             }
             (PeelMode::Online, Incidence::Unit(inc)) => {
@@ -428,16 +426,33 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
     }
 }
 
-/// Rejects technique × axis combinations the engine cannot honor,
-/// mirroring the `KCORE_TECHNIQUES` unknown-token panic: fail loudly
-/// with the valid combinations named, never silently produce a wrong
-/// (or silently degraded) result.
+/// Whether sampling and the offline driver apply under a problem's
+/// axes: exactly for [`RoundPolicy::MinBucket`] rounds over
+/// [`Incidence::Unit`] or [`Incidence::Snapshot`] (sampling is then
+/// ignored outside `Unit`). Sampling approximates priorities that
+/// decrease by units, and the offline driver histograms unit
+/// decrements — neither is defined for threshold-batched rounds or
+/// recomputed priorities. VGC applies everywhere (it composes with
+/// threshold rounds and is ignored under snapshot/recompute
+/// incidences).
 ///
-/// Sampling approximates priorities that decrease by units, and the
-/// offline driver histograms unit decrements — neither is defined for
-/// threshold-batched rounds or recomputed priorities. VGC composes
-/// with threshold rounds (the chase clamps to the round threshold) and
-/// is ignored under snapshot/recompute incidences, as before.
+/// This is the one statement of the rule: [`validate_combination`]
+/// panics on an explicit request the axes reject, and the facade drops
+/// the techniques `KCORE_TECHNIQUES` forces that they reject.
+pub(crate) fn accepts_sampling_and_offline(
+    policy: &RoundPolicy<'_>,
+    incidence: &Incidence<'_>,
+) -> bool {
+    matches!(
+        (policy, incidence),
+        (RoundPolicy::MinBucket, Incidence::Unit(_) | Incidence::Snapshot(_))
+    )
+}
+
+/// Rejects technique × axis combinations the engine cannot honor (see
+/// [`accepts_sampling_and_offline`]): fail loudly with the valid
+/// combinations named, never silently produce a wrong (or silently
+/// degraded) result.
 pub(crate) fn validate_combination(
     config: &Config,
     policy: &RoundPolicy<'_>,
@@ -448,18 +463,20 @@ pub(crate) fn validate_combination(
          (sampling applies to Unit only and is otherwise ignored); \
          RoundPolicy::Threshold requires Incidence::Unit and composes with vgc; \
          Incidence::Recompute runs the online MinBucket driver, vgc ignored";
+    if accepts_sampling_and_offline(policy, incidence) {
+        return;
+    }
     let axis = match (policy, incidence) {
-        (RoundPolicy::MinBucket, Incidence::Unit(_) | Incidence::Snapshot(_)) => return,
         (RoundPolicy::Threshold(_), Incidence::Unit(_)) => "RoundPolicy::Threshold",
-        (RoundPolicy::Threshold(_), Incidence::Snapshot(_) | Incidence::Recompute(_)) => {
+        (RoundPolicy::Threshold(_), _) => {
             panic!("RoundPolicy::Threshold requires Incidence::Unit ({VALID})")
         }
-        (RoundPolicy::MinBucket, Incidence::Recompute(_)) => "Incidence::Recompute",
+        (RoundPolicy::MinBucket, _) => "Incidence::Recompute",
     };
     if config.techniques.sampling.is_some() {
         panic!("{axis} does not support the sampling technique ({VALID})");
     }
-    if matches!(config.techniques.mode, PeelMode::Offline(_)) {
+    if config.techniques.mode == PeelMode::Offline {
         panic!("{axis} does not support the offline driver ({VALID})");
     }
 }
@@ -575,7 +592,7 @@ fn run_rounds<P: PeelProblem, S: Step>(
             "peeling stalled: {remaining} elements left after round {last_round}"
         );
         let _round = span!("round", round);
-        if adaptive_pending && floor >= config.adaptive_theta {
+        if adaptive_pending && floor >= ADAPTIVE_THETA {
             let live = pack_index(n, |v| view.alive(v as u32));
             let entries = live.iter().map(|&v| (v, view.key(v)));
             bucket = Box::new(HierarchicalBuckets::with_entries(floor, entries));

@@ -13,9 +13,10 @@
 //!    [`Incidence::Unit`] problems, the rule's emitted targets for
 //!    [`Incidence::Snapshot`] problems,
 //! 3. **histograms** `L` — `(element, multiplicity)` pairs, the number
-//!    of units each element just lost (see
-//!    [`kcore_parallel::histogram`]; the paper uses a parallel semisort
-//!    here),
+//!    of units each element just lost, by sort or atomic counting as
+//!    the list's density dictates
+//!    ([`kcore_parallel::histogram::histogram_auto`]; the paper uses a
+//!    parallel semisort here),
 //! 4. **applies** the bulk decrements: each element's priority drops by
 //!    its multiplicity, clamped at the current round `k`; elements
 //!    landing on `k` form the next frontier, the rest re-file in the
@@ -34,11 +35,10 @@
 use super::engine::{
     Incidence, LiveView, PeelProblem, Round, Stamps, Step, UnitIncidence, Wave, UNSET,
 };
-use crate::config::{HistogramKind, Offline};
 use kcore_buckets::{BucketStructure, SingleBucket};
 use kcore_check::sync::atomic::{AtomicU32, Ordering};
 use kcore_obs::span;
-use kcore_parallel::histogram::{histogram_atomic, histogram_auto, histogram_sort};
+use kcore_parallel::histogram::histogram_auto;
 use rayon::prelude::*;
 
 /// The offline subround step. Its apply produces the next frontier
@@ -47,14 +47,13 @@ use rayon::prelude::*;
 /// subround synchronization) and are ignored here.
 pub(crate) struct OfflineStep<'p> {
     incidence: Incidence<'p>,
-    histogram: HistogramKind,
     /// Settle stamps for snapshot rules; empty for unit incidences,
     /// which read liveness from the settle array directly.
     stamps: Stamps,
 }
 
 impl<'p> OfflineStep<'p> {
-    pub(crate) fn new(off: Offline, incidence: Incidence<'p>, n: usize) -> Self {
+    pub(crate) fn new(incidence: Incidence<'p>, n: usize) -> Self {
         let stamped = match incidence {
             Incidence::Snapshot(_) => n,
             Incidence::Unit(_) => 0,
@@ -63,7 +62,7 @@ impl<'p> OfflineStep<'p> {
             // no decrement multiset to histogram.
             Incidence::Recompute(_) => unreachable!("offline rejects Incidence::Recompute"),
         };
-        Self { incidence, histogram: off.histogram, stamps: Stamps::new(stamped) }
+        Self { incidence, stamps: Stamps::new(stamped) }
     }
 }
 
@@ -96,7 +95,7 @@ impl Step for OfflineStep<'_> {
         drop(gather_span);
         // 3. histogram it.
         let hist_span = span!("offline.histogram", gathered.len());
-        let hist = run_histogram(self.histogram, gathered, round.settled.len());
+        let hist = histogram_auto(gathered, round.settled.len());
         drop(hist_span);
         work += hist.len() as u64;
         // 4. apply bulk decrements; hits on k form the next frontier.
@@ -135,7 +134,6 @@ pub(crate) fn range_membership(
     inc: &dyn UnitIncidence,
     init_priorities: &[u32],
     k: u32,
-    off: Offline,
 ) -> Vec<bool> {
     let n = init_priorities.len();
     if n == 0 {
@@ -150,7 +148,7 @@ pub(crate) fn range_membership(
     while !frontier.is_empty() {
         frontier.par_iter().for_each(|&v| peeled[v as usize].store(0, Ordering::Relaxed));
         let gathered = gather_live(inc, &frontier, &peeled);
-        let hist = run_histogram(off.histogram, gathered, n);
+        let hist = histogram_auto(gathered, n);
         frontier = hist
             .par_iter()
             .filter_map(|&(u, c)| {
@@ -197,15 +195,6 @@ fn gather(frontier: &[u32], targets: impl Fn(u32, &mut Vec<u32>) + Sync) -> Vec<
     parts.concat()
 }
 
-/// Dispatches to the configured histogram implementation.
-fn run_histogram(kind: HistogramKind, keys: Vec<u32>, domain: usize) -> Vec<(u32, u32)> {
-    match kind {
-        HistogramKind::Auto => histogram_auto(keys, domain),
-        HistogramKind::Sort => histogram_sort(keys),
-        HistogramKind::Atomic => histogram_atomic(&keys, domain),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,28 +203,23 @@ mod tests {
     use crate::{Config, Decomposition};
     use kcore_graph::{gen, CsrGraph};
 
-    fn offline_config(kind: HistogramKind) -> Config {
-        Config::with_techniques(Techniques {
-            mode: crate::config::PeelMode::Offline(Offline { histogram: kind }),
-            ..Techniques::default()
-        })
+    fn offline_config() -> Config {
+        Config::with_techniques(Techniques::offline())
     }
 
     #[test]
     fn every_histogram_kind_matches_the_oracle() {
         let g = gen::rmat(9, 8, 0.57, 0.19, 0.19, 5);
         let want = bz_coreness(&g);
-        for kind in [HistogramKind::Auto, HistogramKind::Sort, HistogramKind::Atomic] {
-            let got = Decomposition::kcore(&g).config(offline_config(kind)).run();
-            assert_eq!(got.coreness(), want.as_slice(), "{kind:?}");
-        }
+        let got = Decomposition::kcore(&g).config(offline_config()).run();
+        assert_eq!(got.coreness(), want.as_slice());
     }
 
     #[test]
     fn offline_is_deterministic() {
         let g = gen::barabasi_albert(500, 3, 9);
-        let a = Decomposition::kcore(&g).config(offline_config(HistogramKind::Auto)).run();
-        let b = Decomposition::kcore(&g).config(offline_config(HistogramKind::Auto)).run();
+        let a = Decomposition::kcore(&g).config(offline_config()).run();
+        let b = Decomposition::kcore(&g).config(offline_config()).run();
         assert_eq!(a.coreness(), b.coreness());
         assert_eq!(a.stats().subrounds, b.stats().subrounds);
     }
@@ -243,9 +227,9 @@ mod tests {
     #[test]
     fn membership_of_trivial_cores() {
         let g = gen::path(10);
-        let members = range_membership(&g, &g.degrees(), 0, Offline::default());
+        let members = range_membership(&g, &g.degrees(), 0);
         assert!(members.iter().all(|&m| m), "the 0-core is everything");
-        let members = range_membership(&g, &g.degrees(), 2, Offline::default());
+        let members = range_membership(&g, &g.degrees(), 2);
         assert!(members.iter().all(|&m| !m), "a path has no 2-core");
     }
 
@@ -259,7 +243,7 @@ mod tests {
         edges.push((21, 22));
         edges.push((22, 20));
         let g = kcore_graph::GraphBuilder::new(23).edges(edges).build();
-        let members = range_membership(&g, &g.degrees(), 2, Offline::default());
+        let members = range_membership(&g, &g.degrees(), 2);
         for (v, &member) in members.iter().enumerate() {
             assert_eq!(member, v >= 20, "vertex {v}: only the triangle is in the 2-core");
         }
@@ -268,6 +252,6 @@ mod tests {
     #[test]
     fn empty_graph_membership() {
         let g = CsrGraph::empty();
-        assert!(range_membership(&g, &g.degrees(), 3, Offline::default()).is_empty());
+        assert!(range_membership(&g, &g.degrees(), 3).is_empty());
     }
 }

@@ -30,10 +30,7 @@
 //! `2(1 + β)`-approximation; `β = ε/2` makes the end-to-end factor
 //! exactly `2 + ε`.
 
-use crate::peel::engine::{
-    Incidence, PeelEngine, PeelProblem, RoundAggregates, RoundPolicy, ThresholdPolicy,
-};
-use crate::Config;
+use crate::peel::engine::{Incidence, PeelProblem, RoundAggregates, RoundPolicy, ThresholdPolicy};
 use kcore_graph::CsrGraph;
 use kcore_parallel::RunStats;
 
@@ -44,10 +41,17 @@ use kcore_parallel::RunStats;
 pub const SWEPT_EPSILONS: [f64; 3] = [0.1, 0.5, 1.0];
 
 /// The batched densest-subgraph problem over one graph.
-struct ApproxDensestProblem<'g> {
+pub(crate) struct ApproxDensestProblem<'g> {
     g: &'g CsrGraph,
     /// Removal rate `1 + ε/2`.
     rate: f64,
+}
+
+impl<'g> ApproxDensestProblem<'g> {
+    /// The (2+ε)-approximation of `g`'s densest subgraph.
+    pub(crate) fn new(g: &'g CsrGraph, epsilon: f64) -> Self {
+        Self { g, rate: 1.0 + epsilon / 2.0 }
+    }
 }
 
 impl ThresholdPolicy for ApproxDensestProblem<'_> {
@@ -122,21 +126,6 @@ impl PeelProblem for ApproxDensestProblem<'_> {
     }
 }
 
-/// Env-override tokens that apply to threshold peeling.
-pub(crate) const SUPPORTED_TECHNIQUES: &[&str] = &["vgc"];
-
-/// Runs batched approximate densest-subgraph with `config` exactly as
-/// given — the shared core behind
-/// [`crate::Decomposition::approx_densest`].
-pub(crate) fn run_approx_densest(
-    g: &CsrGraph,
-    config: Config,
-    epsilon: f64,
-) -> ApproxDensestResult {
-    let problem = ApproxDensestProblem { g, rate: 1.0 + epsilon / 2.0 };
-    PeelEngine::new(&problem, config).run()
-}
-
 /// The result of a batched approximate densest-subgraph run.
 #[derive(Debug, Clone, Default)]
 pub struct ApproxDensestResult {
@@ -207,9 +196,11 @@ impl crate::result::DecompositionResult for ApproxDensestResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Sampling, Techniques};
+    use crate::config::{Sampling, Techniques, Vgc};
+    use crate::env::parse_one;
+    use crate::peel::engine::accepts_sampling_and_offline;
     use crate::problems::densest::sequential_greedy_density;
-    use crate::Decomposition;
+    use crate::{Config, Decomposition};
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, CsrGraph, GraphBuilder};
 
@@ -320,7 +311,10 @@ mod tests {
     fn vgc_composes_with_threshold_rounds() {
         let g = gen::barabasi_albert(400, 3, 9);
         let plain = Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run();
-        let vgc = Config::default().apply_techniques_spec("vgc");
+        let vgc = Config::with_techniques(Techniques {
+            vgc: Some(Vgc::default()),
+            ..Techniques::default()
+        });
         let chased = Decomposition::approx_densest(&g, 0.5).exact_config(vgc).run();
         assert_eq!(plain.rounds(), chased.rounds(), "VGC only reorders work within a round");
         assert_eq!(plain.densities(), chased.densities());
@@ -371,8 +365,10 @@ mod tests {
     #[test]
     fn forced_env_tokens_are_filtered_not_fatal() {
         let g = gen::barabasi_albert(120, 3, 5);
-        let config = Config::default()
-            .apply_techniques_spec_filtered("sampling,vgc,offline", SUPPORTED_TECHNIQUES);
+        let problem = ApproxDensestProblem::new(&g, 0.5);
+        let accepts = accepts_sampling_and_offline(&problem.round_policy(), &problem.incidence());
+        let forced = parse_one("KCORE_TECHNIQUES", "sampling,vgc,offline").techniques;
+        let config = forced.apply(Config::default(), accepts);
         let got = Decomposition::approx_densest(&g, 0.5).exact_config(config).run();
         let want = Decomposition::approx_densest(&g, 0.5).exact_config(Config::default()).run();
         assert_eq!(got.rounds(), want.rounds());

@@ -27,15 +27,14 @@
 //! histograms give `(n_k, m_k)` for every round at once, which is the
 //! running density the greedy tracks, at round granularity.
 
-use crate::peel::engine::{Incidence, PeelEngine, PeelProblem};
-use crate::Config;
-use kcore_graph::{env_backend, BackendKind, CompressedCsr, CsrGraph, GraphBackend};
+use crate::peel::engine::{Incidence, PeelProblem};
+use kcore_graph::{CsrGraph, GraphBackend};
 use kcore_parallel::RunStats;
 
 /// The greedy densest-subgraph problem over one graph, generic over
 /// the adjacency backend.
-struct DensestProblem<'g, G = CsrGraph> {
-    g: &'g G,
+pub(crate) struct DensestProblem<'g, G = CsrGraph> {
+    pub(crate) g: &'g G,
 }
 
 impl<G: GraphBackend> PeelProblem for DensestProblem<'_, G> {
@@ -92,20 +91,6 @@ impl<G: GraphBackend> PeelProblem for DensestProblem<'_, G> {
         let membership = coreness.iter().map(|&c| c >= best_k).collect();
         DensestResult { coreness, densities, membership, best_k, stats }
     }
-}
-
-/// Runs greedy densest-subgraph extraction with `config` exactly as
-/// given — the shared core behind [`crate::Decomposition::densest`].
-/// A plain-CSR graph is re-encoded through the `KCORE_BACKEND`-forced
-/// backend first; any other backend runs as-is.
-pub(crate) fn run_densest<G: GraphBackend>(g: &G, config: Config) -> DensestResult {
-    if env_backend() == BackendKind::Compressed {
-        if let Some(plain) = g.as_plain() {
-            // The compressed copy has no plain view: one nested call.
-            return run_densest(&CompressedCsr::from_graph(plain), config);
-        }
-    }
-    PeelEngine::new(&DensestProblem { g }, config).run()
 }
 
 /// The result of a greedy densest-subgraph run.
@@ -210,7 +195,8 @@ mod tests {
     use super::*;
     use crate::bz::bz_coreness;
     use crate::config::Techniques;
-    use crate::Decomposition;
+    use crate::env::parse_one;
+    use crate::{Config, Decomposition};
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, GraphBuilder};
 
@@ -308,7 +294,8 @@ mod tests {
         let g = gen::barabasi_albert(300, 4, 5);
         let want = Decomposition::densest(&g).exact_config(Config::default()).run();
         for spec in ["sampling", "vgc", "all", "offline"] {
-            let config = Config::default().apply_techniques_spec(spec);
+            let config =
+                parse_one("KCORE_TECHNIQUES", spec).techniques.apply(Config::default(), true);
             let got = Decomposition::densest(&g).exact_config(config).run();
             assert_eq!(got.best_k(), want.best_k(), "{spec}");
             assert_eq!(got.densities(), want.densities(), "{spec}");

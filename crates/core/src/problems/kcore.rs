@@ -9,11 +9,10 @@
 //! [`CorenessResult`]. Every Sec. 4 technique applies: sampling (vertex
 //! degrees over edges), VGC chains, and the offline histogram driver.
 
-use crate::config::PeelMode;
-use crate::peel::engine::{Incidence, PeelEngine, PeelProblem};
+use crate::peel::engine::{Incidence, PeelProblem};
 use crate::peel::offline;
-use crate::{Config, CorenessResult};
-use kcore_graph::{env_backend, BackendKind, CompressedCsr, CsrGraph, GraphBackend};
+use crate::CorenessResult;
+use kcore_graph::{CsrGraph, GraphBackend};
 use kcore_parallel::RunStats;
 
 /// The k-core decomposition problem over one graph, generic over the
@@ -46,40 +45,14 @@ impl<G: GraphBackend> PeelProblem for KCoreProblem<'_, G> {
     }
 }
 
-/// Runs the k-core decomposition with `config` exactly as given — the
-/// shared core behind [`crate::Decomposition::kcore`] (env resolution
-/// happens in the builder). A plain-CSR graph is re-encoded through the
-/// `KCORE_BACKEND`-forced backend first (CI's compressed leg); any
-/// other backend runs as-is.
-pub(crate) fn run_kcore<G: GraphBackend>(g: &G, config: Config) -> CorenessResult {
-    if env_backend() == BackendKind::Compressed {
-        if let Some(plain) = g.as_plain() {
-            // The compressed copy has no plain view: one nested call.
-            return run_kcore(&CompressedCsr::from_graph(plain), config);
-        }
-    }
-    PeelEngine::new(&KCoreProblem { g }, config).run()
-}
-
 /// Membership of the `k`-core (`true` = vertex has coreness `>= k`),
 /// computed directly by offline range peeling: every vertex of degree
 /// below `k` is extracted in one bulk range step and the cascade is
 /// driven by histogram decrements. Much cheaper than a full
 /// decomposition when only one core is needed (the serving path for
-/// "give me the k-core" queries). Applies the `KCORE_BACKEND` override
-/// like [`run_kcore`].
-pub(crate) fn members<G: GraphBackend>(g: &G, config: &Config, k: u32) -> Vec<bool> {
-    let off = match config.techniques.mode {
-        PeelMode::Offline(off) => off,
-        PeelMode::Online => crate::config::Offline::default(),
-    };
-    if env_backend() == BackendKind::Compressed {
-        if let Some(plain) = g.as_plain() {
-            // The compressed copy has no plain view: one nested call.
-            return members(&CompressedCsr::from_graph(plain), config, k);
-        }
-    }
-    offline::range_membership(g, &g.degrees(), k, off)
+/// "give me the k-core" queries, [`crate::Decomposition::members`]).
+pub(crate) fn members<G: GraphBackend>(g: &G, k: u32) -> Vec<bool> {
+    offline::range_membership(g, &g.degrees(), k)
 }
 
 #[cfg(test)]
@@ -87,7 +60,8 @@ mod tests {
     use super::*;
     use crate::bz::bz_coreness;
     use crate::config::{PeelMode, Sampling, Techniques, Validation, Vgc};
-    use crate::Decomposition;
+    use crate::peel::engine::PeelEngine;
+    use crate::{Config, Decomposition};
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, GraphBuilder};
     use kcore_parallel::pool::with_threads;

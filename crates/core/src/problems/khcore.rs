@@ -26,8 +26,7 @@
 //! maintains no incremental state at all, so a parallel bookkeeping
 //! bug cannot be mirrored.
 
-use crate::peel::engine::{Incidence, PeelEngine, PeelProblem, RecomputeRule, SettleView};
-use crate::Config;
+use crate::peel::engine::{Incidence, PeelProblem, RecomputeRule, SettleView};
 use kcore_graph::CsrGraph;
 use kcore_parallel::RunStats;
 use rayon::prelude::*;
@@ -200,17 +199,6 @@ impl RecomputeRule for KhCoreProblem<'_> {
     }
 }
 
-/// Env-override tokens that apply to recompute peeling. (VGC is
-/// accepted and then ignored by the two-phase step, mirroring the
-/// snapshot-rule problems; sampling/offline would panic.)
-pub(crate) const SUPPORTED_TECHNIQUES: &[&str] = &["vgc"];
-
-/// Runs the (k,h)-core decomposition with `config` exactly as given —
-/// the shared core behind [`crate::Decomposition::khcore`].
-pub(crate) fn run_khcore(g: &CsrGraph, config: Config, h: u32) -> KhCoreResult {
-    PeelEngine::new(&KhCoreProblem { g, h }, config).run()
-}
-
 /// The result of a (k,h)-core decomposition.
 #[derive(Debug, Clone)]
 pub struct KhCoreResult {
@@ -297,7 +285,9 @@ mod tests {
     use super::*;
     use crate::bz::bz_coreness;
     use crate::config::{Sampling, Techniques};
-    use crate::Decomposition;
+    use crate::env::parse_one;
+    use crate::peel::engine::accepts_sampling_and_offline;
+    use crate::{Config, Decomposition};
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, GraphBuilder};
 
@@ -430,11 +420,13 @@ mod tests {
     #[test]
     fn forced_env_tokens_are_filtered_not_fatal() {
         // What the KCORE_TECHNIQUES CI legs exercise, without mutating
-        // the environment: the builder's filter drops sampling/offline
+        // the environment: the facade's filter drops sampling/offline
         // and the run stays oracle-correct.
         let g = gen::barabasi_albert(40, 2, 5);
-        let config = Config::default()
-            .apply_techniques_spec_filtered("sampling,vgc,offline", SUPPORTED_TECHNIQUES);
+        let problem = KhCoreProblem { g: &g, h: 2 };
+        let accepts = accepts_sampling_and_offline(&problem.round_policy(), &problem.incidence());
+        let forced = parse_one("KCORE_TECHNIQUES", "sampling,vgc,offline").techniques;
+        let config = forced.apply(Config::default(), accepts);
         let got = Decomposition::khcore(&g, 2).exact_config(config).run();
         assert_eq!(got.kh_coreness(), sequential_kh_coreness(&g, 2).as_slice());
     }

@@ -12,8 +12,9 @@
 //!
 //! Setup (edge ids + supports) comes from the fused
 //! [`TriangleCtx`] build over the degree-ordered orientation, whose
-//! discovery sweep dispatches the hybrid intersection kernels
-//! (`KCORE_TRI_KERNEL`). Per-death triangle enumeration walks the
+//! discovery sweep dispatches the hybrid intersection kernels (under
+//! the context's kernel policy; the facade builds its context with the
+//! `KCORE_TRI_KERNEL` override). Per-death triangle enumeration walks the
 //! context's cached companion lists when materialized and re-derives
 //! them through the kernels otherwise; every kernel enumerates
 //! identically, so the decomposition is kernel-independent bit for
@@ -41,22 +42,20 @@
 //! Because the snapshot is identical for every worker, the emitted
 //! multiset — and therefore the whole decomposition — is deterministic.
 
-use crate::peel::engine::{
-    ElementState, Incidence, PeelEngine, PeelProblem, SettleView, SnapshotRule,
-};
-use crate::Config;
+use crate::peel::engine::{ElementState, Incidence, PeelProblem, SettleView, SnapshotRule};
 use kcore_graph::triangles::for_each_triangle_of_edge;
 use kcore_graph::{CsrGraph, EdgeIndex, TriangleCtx};
 use kcore_parallel::RunStats;
 
-/// The k-truss decomposition problem over one graph.
-struct KTrussProblem<'g> {
-    g: &'g CsrGraph,
-    ctx: &'g TriangleCtx,
+/// The k-truss decomposition problem over the triangle setup `ctx` of
+/// `g`.
+pub(crate) struct KTrussProblem<'g> {
+    pub(crate) g: &'g CsrGraph,
+    pub(crate) ctx: &'g TriangleCtx,
 }
 
 impl PeelProblem for KTrussProblem<'_> {
-    type Output = (Vec<u32>, RunStats);
+    type Output = TrussnessResult;
 
     fn name(&self) -> &'static str {
         "k-truss"
@@ -74,8 +73,9 @@ impl PeelProblem for KTrussProblem<'_> {
         Incidence::Snapshot(self)
     }
 
-    fn assemble(&self, rounds: Vec<u32>, stats: RunStats) -> Self::Output {
-        (rounds, stats)
+    fn assemble(&self, rounds: Vec<u32>, stats: RunStats) -> TrussnessResult {
+        let trussness = rounds.into_iter().map(|r| r + 2).collect();
+        TrussnessResult { index: self.ctx.edge_index().clone(), trussness, stats }
     }
 }
 
@@ -122,16 +122,6 @@ impl SnapshotRule for KTrussProblem<'_> {
             self.ctx.for_each_triangle_of_edge(self.g, e, |fe, ge, _w| consider(fe, ge));
         }
     }
-}
-
-/// Runs the k-truss peel with `config` exactly as given over the
-/// triangle setup `ctx` of `g` — the shared core behind
-/// [`crate::Decomposition::ktruss`].
-pub(crate) fn run_ktruss(g: &CsrGraph, ctx: &TriangleCtx, config: Config) -> TrussnessResult {
-    let problem = KTrussProblem { g, ctx };
-    let (rounds, stats) = PeelEngine::new(&problem, config).run();
-    let trussness = rounds.into_iter().map(|r| r + 2).collect();
-    TrussnessResult { index: ctx.edge_index().clone(), trussness, stats }
 }
 
 /// The result of a k-truss decomposition: per-edge trussness (indexed
@@ -232,7 +222,8 @@ pub fn sequential_trussness(g: &CsrGraph) -> Vec<u32> {
 mod tests {
     use super::*;
     use crate::config::Techniques;
-    use crate::Decomposition;
+    use crate::env::parse_one;
+    use crate::{Config, Decomposition};
     use kcore_buckets::BucketStrategy;
     use kcore_graph::{gen, GraphBuilder};
 
@@ -350,7 +341,8 @@ mod tests {
         // KCORE_TECHNIQUES=sampling,vgc CI leg exercises).
         let g = gen::planted_core(60, 2, 12, 3);
         let want = Decomposition::ktruss(&g).exact_config(Config::default()).run();
-        let forced = Config::default().apply_techniques_spec("sampling,vgc");
+        let forced =
+            parse_one("KCORE_TECHNIQUES", "sampling,vgc").techniques.apply(Config::default(), true);
         let got = Decomposition::ktruss(&g).exact_config(forced).run();
         assert_eq!(got.trussness(), want.trussness());
         assert_eq!(got.stats().sampled_vertices, 0);

@@ -39,10 +39,10 @@
 //!    [`crate::RoundAggregates`] (unit incidences only — see
 //!    [`approx_densest`] for the worked example).
 //! 4. Assemble your result from the per-element settle rounds.
-//! 5. Add a [`crate::Decomposition`] selector whose `run` resolves the
-//!    config with the env override — filtered to the supported tokens
-//!    when your axes reject sampling or offline — and test against a
-//!    sequential oracle across all bucket strategies (see
+//! 5. Add a [`crate::Decomposition`] selector whose `run` hands the
+//!    problem to the facade's `peel`, which adds the techniques the
+//!    `KCORE_TECHNIQUES` override forces and your axes accept, and test
+//!    against a sequential oracle across all bucket strategies (see
 //!    `tests/proptest_problems.rs`).
 
 pub mod approx_densest;

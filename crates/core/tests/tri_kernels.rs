@@ -2,9 +2,10 @@
 //!
 //! The triangle-kernel overhaul (degree-ordered orientation, hybrid
 //! merge/gallop/bitset intersections, fused index+supports build)
-//! promises *bit-identical* outputs under every `KCORE_TRI_KERNEL`
-//! selection — the kernels differ only in how the work is ordered, not
-//! in what is enumerated. This file is the referee:
+//! promises *bit-identical* outputs under every kernel policy (and so
+//! under every `KCORE_TRI_KERNEL` override) — the kernels differ only
+//! in how the work is ordered, not in what is enumerated. This file is
+//! the referee:
 //!
 //! * fused supports equal the reference full-list recount
 //!   ([`kcore_graph::triangles::edge_supports`]) for every kernel;
@@ -15,8 +16,8 @@
 //! * the forced `bitset` leg pushes *every* pair through the hub-map
 //!   path (no degree threshold), covering both probe orientations and
 //!   the rank filter;
-//! * unknown `KCORE_TRI_KERNEL` tokens panic listing the valid ones,
-//!   mirroring the `KCORE_TECHNIQUES` contract.
+//! * unknown kernel names panic listing the valid ones
+//!   ([`TriKernel::parse`]).
 //!
 //! The proptest generators mirror `proptest_problems.rs`: messy
 //! arbitrary edge lists plus the power-law family where kernel choice

@@ -16,11 +16,6 @@
 //! * [`GraphBackend::for_each_neighbor`] — streaming visitation with
 //!   no buffer at all; nested traversals (a scan inside a scan) must
 //!   use this form so they never contend for scratch slots.
-//!
-//! The `KCORE_BACKEND` environment override (parsed by
-//! [`env_backend`], same unknown-token-panics convention as
-//! `KCORE_TRI_KERNEL`) lets CI force the compressed backend through
-//! every plain-CSR entry point.
 
 use crate::csr::{CsrGraph, VertexId};
 use crate::stats::MemoryFootprint;
@@ -90,53 +85,12 @@ pub trait GraphBackend: Sync {
 
     /// Downcast to the plain CSR backend, when that is what this is.
     ///
-    /// The facade uses this to apply the `KCORE_BACKEND` override (a
-    /// plain graph is re-encoded through the forced backend); every
-    /// other backend keeps the `None` default and runs as-is.
+    /// `kcore`'s facade uses this to apply its `KCORE_BACKEND` override
+    /// (a plain graph is re-encoded as a [`crate::CompressedCsr`]);
+    /// every other backend keeps the `None` default and runs as-is.
     fn as_plain(&self) -> Option<&CsrGraph> {
         None
     }
-}
-
-/// Adjacency backend selected by the `KCORE_BACKEND` environment
-/// variable (see [`env_backend`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Plain uncompressed CSR arrays — the default.
-    Plain,
-    /// Delta + varint byte-compressed adjacency
-    /// ([`crate::CompressedCsr`]).
-    Compressed,
-}
-
-impl BackendKind {
-    /// Human name, as accepted by `KCORE_BACKEND`.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BackendKind::Plain => "plain",
-            BackendKind::Compressed => "compressed",
-        }
-    }
-}
-
-/// The backend forced by `KCORE_BACKEND`, parsed once per process.
-///
-/// Accepted values: `plain` (or empty/unset) and `compressed`. Unknown
-/// tokens panic listing the valid set — same convention as
-/// `KCORE_TRI_KERNEL` and `KCORE_TECHNIQUES`, so a typo in CI fails
-/// loudly instead of silently testing the default.
-pub fn env_backend() -> BackendKind {
-    static KIND: std::sync::OnceLock<BackendKind> = std::sync::OnceLock::new();
-    *KIND.get_or_init(|| match std::env::var("KCORE_BACKEND") {
-        Ok(raw) => match raw.trim() {
-            "" | "plain" => BackendKind::Plain,
-            "compressed" => BackendKind::Compressed,
-            other => {
-                panic!("KCORE_BACKEND: unknown backend {other:?} (valid: plain, compressed)")
-            }
-        },
-        Err(_) => BackendKind::Plain,
-    })
 }
 
 #[cfg(test)]
@@ -156,11 +110,5 @@ mod tests {
         let mut edges = Vec::new();
         b.for_each_edge(&mut |u, v| edges.push((u, v)));
         assert_eq!(edges, g.edges().collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn backend_kind_names() {
-        assert_eq!(BackendKind::Plain.as_str(), "plain");
-        assert_eq!(BackendKind::Compressed.as_str(), "compressed");
     }
 }

@@ -67,18 +67,28 @@ impl CsrGraph {
     ///
     /// # Panics
     ///
-    /// Panics if any invariant is violated. Use the builder for untrusted
-    /// input; this constructor is for generators that produce CSR form
-    /// directly.
+    /// Panics if any invariant is violated. Use the builder or
+    /// [`CsrGraph::try_from_parts`] for untrusted input; this
+    /// constructor is for generators that produce CSR form directly.
     pub fn from_parts(offsets: Vec<usize>, edges: Vec<VertexId>) -> Self {
+        Self::try_from_parts(offsets, edges).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds a graph from CSR arrays, checking the invariants of
+    /// [`CsrGraph::from_parts`] in the same order and returning the
+    /// first violation as an error instead of panicking.
+    pub fn try_from_parts(offsets: Vec<usize>, edges: Vec<VertexId>) -> Result<Self, String> {
+        if offsets.is_empty() {
+            return Err("offsets must hold n + 1 entries".to_string());
+        }
         let g = Self {
             storage: Storage::Owned {
                 offsets: offsets.into_boxed_slice(),
                 edges: edges.into_boxed_slice(),
             },
         };
-        g.validate();
-        g
+        g.check()?;
+        Ok(g)
     }
 
     /// Builds a graph from CSR arrays without checking invariants.
@@ -260,37 +270,53 @@ impl CsrGraph {
     }
 
     /// Checks all structural invariants; panics with a description on
-    /// the first violation. Used by [`CsrGraph::from_parts`] and tests.
+    /// the first violation. Used by tests.
     pub fn validate(&self) {
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// The structural invariants, in order; `Err` describes the first
+    /// violation.
+    fn check(&self) -> Result<(), String> {
         let n = self.num_vertices();
         let offsets = self.offsets();
-        assert_eq!(offsets[0], 0, "offsets must start at 0");
-        assert_eq!(
-            *offsets.last().unwrap(),
-            self.edge_array().len(),
-            "offsets must end at the arc count"
-        );
+        if offsets[0] != 0 {
+            return Err("offsets must start at 0".to_string());
+        }
+        if offsets[n] != self.edge_array().len() {
+            return Err("offsets must end at the arc count".to_string());
+        }
+        // All offsets first: then every neighbor range is in bounds.
+        if let Some(v) = (0..n).find(|&v| offsets[v] > offsets[v + 1]) {
+            return Err(format!("offsets must be non-decreasing at vertex {v}"));
+        }
         for v in 0..n {
-            assert!(offsets[v] <= offsets[v + 1], "offsets must be non-decreasing at vertex {v}");
             let nbrs = self.neighbors(v as VertexId);
-            for w in nbrs.windows(2) {
-                assert!(
-                    w[0] < w[1],
+            if let Some(w) = nbrs.windows(2).find(|w| w[0] >= w[1]) {
+                return Err(format!(
                     "adjacency of {v} must be strictly increasing: {} !< {}",
-                    w[0],
-                    w[1]
-                );
+                    w[0], w[1]
+                ));
             }
             for &u in nbrs {
-                assert!((u as usize) < n, "neighbor {u} of {v} out of range");
-                assert_ne!(u as usize, v, "self-loop at {v}");
+                if u as usize >= n {
+                    return Err(format!("neighbor {u} of {v} out of range"));
+                }
+                if u as usize == v {
+                    return Err(format!("self-loop at {v}"));
+                }
             }
         }
         // Symmetry: u -> v implies v -> u.
         let asymmetric = (0..n as VertexId)
             .into_par_iter()
             .any(|u| self.neighbors(u).iter().any(|&v| !self.has_edge(v, u)));
-        assert!(!asymmetric, "arc set must be symmetric");
+        if asymmetric {
+            return Err("arc set must be symmetric".to_string());
+        }
+        Ok(())
     }
 }
 

@@ -34,7 +34,9 @@
 //!
 //! Intersections pick a kernel per pair — linear merge, galloping, or
 //! packed-bitset probe — through [`kcore_parallel::intersect::choose`];
-//! the policy is overridable via `KCORE_TRI_KERNEL`. All kernels
+//! [`TriangleCtx::build_with_kernel`] and [`Dodg::triangle_count`] take
+//! the policy as an argument (`kcore`'s k-truss facade passes its
+//! `KCORE_TRI_KERNEL` override there). All kernels
 //! enumerate the same matches in the same (increasing-vertex) order,
 //! so supports and trussness are bit-identical across kernels.
 
@@ -235,10 +237,10 @@ pub struct TriangleCtx {
 pub const TRI_CACHE_MAX_PAIRS: usize = 1 << 24;
 
 impl TriangleCtx {
-    /// Builds the full triangle setup with the process-wide
-    /// (`KCORE_TRI_KERNEL`) kernel policy.
+    /// Builds the full triangle setup with the [`TriKernel::Auto`]
+    /// kernel policy.
     pub fn build(g: &CsrGraph) -> Self {
-        Self::build_with_kernel(g, TriKernel::from_env())
+        Self::build_with_kernel(g, TriKernel::Auto)
     }
 
     /// Builds the full triangle setup with an explicit kernel policy

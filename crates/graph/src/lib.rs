@@ -13,8 +13,8 @@
 //!   holds one giant arc vector.
 //! * [`GraphBackend`] — the storage seam the peel algorithms run over:
 //!   plain CSR, the [`OverlayGraph`] delta view, or the Ligra+-style
-//!   delta+varint [`CompressedCsr`] (selected in CI via the
-//!   `KCORE_BACKEND` env override, see [`env_backend`]). The
+//!   delta+varint [`CompressedCsr`] (which `kcore`'s facade can force
+//!   for every plain input, the `KCORE_BACKEND` override). The
 //!   triangle-side types ([`Dodg`], [`TriangleCtx`], [`EdgeIndex`])
 //!   intentionally keep requiring the plain backend — their kernels
 //!   lean on random access into raw arc arrays.
@@ -55,7 +55,7 @@ pub mod overlay;
 pub mod stats;
 pub mod triangles;
 
-pub use backend::{env_backend, BackendKind, GraphBackend};
+pub use backend::GraphBackend;
 pub use builder::{GraphBuilder, StreamBuilder};
 pub use compressed::CompressedCsr;
 pub use csr::{CsrGraph, VertexId};

@@ -58,10 +58,10 @@ where
 /// Total number of triangles in `g`, each counted once: a parallel
 /// fold of out-list intersections over the degree-ordered orientation
 /// ([`crate::dodg::Dodg`]), so no per-edge array is materialized and
-/// no [`EdgeIndex`] is needed. Kernel selection follows
-/// `KCORE_TRI_KERNEL`.
+/// no [`EdgeIndex`] is needed. Kernels are chosen per pair
+/// ([`TriKernel::Auto`]).
 pub fn triangle_count(g: &CsrGraph) -> u64 {
-    crate::dodg::Dodg::build(g).triangle_count(g, TriKernel::from_env())
+    crate::dodg::Dodg::build(g).triangle_count(g, TriKernel::Auto)
 }
 
 #[cfg(test)]

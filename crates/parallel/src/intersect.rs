@@ -18,11 +18,11 @@
 //!   `kcore_graph::dodg` are built lazily and amortized over the whole
 //!   k-truss peel).
 //!
-//! [`choose`] picks per pair from the measured size ratio; the choice
-//! policy is overridable process-wide via the `KCORE_TRI_KERNEL`
-//! environment variable ([`TriKernel::from_env`], values
-//! `auto|merge|gallop|bitset`) so each kernel is independently testable
-//! and benchable. Kernel-choice tallies are published as
+//! [`choose`] picks per pair from the measured size ratio under
+//! [`TriKernel::Auto`]; the other policies force one kernel, so each is
+//! independently testable and benchable (`kcore` lets the
+//! `KCORE_TRI_KERNEL` environment variable force one for its k-truss
+//! facade). Kernel-choice tallies are published as
 //! `tri.kernel.{merge,gallop,bitset}` counters through `kcore-obs`.
 //!
 //! All kernels enumerate the same set of matches — only the order of
@@ -31,7 +31,7 @@
 
 use kcore_obs::counter;
 
-/// Intersection-kernel selection policy, parsed from `KCORE_TRI_KERNEL`.
+/// Intersection-kernel selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TriKernel {
     /// Pick per pair from the size ratio (the default).
@@ -65,39 +65,26 @@ pub const BITSET_SKEW: usize = 2;
 pub const GALLOP_SKEW: usize = 4;
 
 impl TriKernel {
-    /// All accepted `KCORE_TRI_KERNEL` tokens, in panic-message order.
+    /// Every policy name, in panic-message order.
     pub const TOKENS: [&'static str; 4] = ["auto", "merge", "gallop", "bitset"];
 
-    /// Parses a `KCORE_TRI_KERNEL` value.
+    /// Parses a policy name (surrounding whitespace ignored; empty
+    /// means `Auto`).
     ///
     /// # Panics
     ///
-    /// Panics on unknown tokens, listing the valid ones — a misspelled
-    /// CI override must fail loudly, not silently bench the default
-    /// (mirroring `KCORE_TECHNIQUES` parsing).
+    /// Panics on unknown names, listing the valid ones.
     pub fn parse(spec: &str) -> Self {
         match spec.trim() {
             "" | "auto" => TriKernel::Auto,
             "merge" => TriKernel::Merge,
             "gallop" => TriKernel::Gallop,
             "bitset" => TriKernel::Bitset,
-            other => panic!(
-                "KCORE_TRI_KERNEL: unknown kernel {other:?} (valid: auto, merge, gallop, bitset)"
-            ),
+            other => panic!("unknown kernel {other:?} (valid: auto, merge, gallop, bitset)"),
         }
     }
 
-    /// The process-wide kernel selection from the `KCORE_TRI_KERNEL`
-    /// environment variable (read once; `Auto` when unset).
-    pub fn from_env() -> Self {
-        static FROM_ENV: std::sync::OnceLock<TriKernel> = std::sync::OnceLock::new();
-        *FROM_ENV.get_or_init(|| match std::env::var("KCORE_TRI_KERNEL") {
-            Ok(spec) => TriKernel::parse(&spec),
-            Err(_) => TriKernel::Auto,
-        })
-    }
-
-    /// Human name, as accepted by `KCORE_TRI_KERNEL`.
+    /// Human name, as accepted by [`TriKernel::parse`].
     pub fn as_str(self) -> &'static str {
         match self {
             TriKernel::Auto => "auto",

@@ -9,7 +9,7 @@
 //! * [`intersect`] — hybrid sorted-adjacency intersection kernels
 //!   (merge / galloping / packed-bitset probe) with a per-pair
 //!   dispatcher, the sequential core of triangle counting and k-truss
-//!   peeling; selection overridable via `KCORE_TRI_KERNEL`.
+//!   peeling; a [`intersect::TriKernel`] policy can force one kernel.
 //! * [`histogram`] — the `Histogram` primitive used by offline (Julienne
 //!   style) peeling, substituting a sort-based implementation for the
 //!   paper's parallel semisort.
