@@ -91,7 +91,7 @@ fn bench_peel_backends(c: &mut Criterion) {
         comp_fp.neighbor_bytes as f64 / plain_fp.neighbor_bytes as f64
     );
 
-    let config = Config { collect_stats: false, ..Config::default() };
+    let config = Config::default();
     c.bench_function("build/peel/ba-3000/plain", |b| {
         b.iter(|| black_box(Decomposition::kcore(&g).exact_config(config).run()))
     });

@@ -1,6 +1,6 @@
-//! Configuration sweep: bucket strategy x statistics collection across
-//! the standard suite — the grid the Tab. 3 "combination" rows come
-//! from once sampling and VGC land.
+//! Configuration sweep: bucket strategy across the standard suite —
+//! the grid the Tab. 3 "combination" rows come from once sampling and
+//! VGC land.
 
 use criterion::{black_box, criterion_group, Criterion};
 use kcore::{BucketStrategy, Config, Decomposition};
@@ -10,13 +10,10 @@ fn bench_combos(c: &mut Criterion) {
     let strategies = [BucketStrategy::Single, BucketStrategy::Adaptive];
     for bg in standard_suite() {
         for strategy in strategies {
-            for collect_stats in [false, true] {
-                let config = Config { collect_stats, ..Config::with_strategy(strategy) };
-                let stats = if collect_stats { "stats" } else { "nostats" };
-                c.bench_function(&format!("combos/{}/{strategy}/{stats}", bg.name), |b| {
-                    b.iter(|| black_box(Decomposition::kcore(&bg.graph).config(config).run()))
-                });
-            }
+            let config = Config::with_strategy(strategy);
+            c.bench_function(&format!("combos/{}/{strategy}", bg.name), |b| {
+                b.iter(|| black_box(Decomposition::kcore(&bg.graph).config(config).run()))
+            });
         }
     }
 }

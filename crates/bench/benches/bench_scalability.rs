@@ -51,8 +51,8 @@ fn bench_scalability(c: &mut Criterion) {
         for (vname, techniques) in variants {
             // Model-predicted speedup from one instrumented run: the
             // Fig. 10 curve the measured sweep is compared against.
-            let instrumented =
-                Decomposition::kcore(g).exact_config(Config::with_techniques(techniques)).run();
+            let config = Config::with_techniques(techniques);
+            let instrumented = Decomposition::kcore(g).exact_config(config).run();
             let stats = instrumented.stats();
             let predicted: Vec<String> = MODEL_CORES
                 .iter()
@@ -60,7 +60,6 @@ fn bench_scalability(c: &mut Criterion) {
                 .collect();
             println!("scalability/{gname}/{vname} predicted speedup {}", predicted.join(" "));
 
-            let config = Config { collect_stats: false, techniques, ..Config::default() };
             for threads in THREAD_SWEEP {
                 c.bench_function(&format!("scalability/{gname}/{vname}/t{threads}"), |b| {
                     // The pool lives outside the timing loop: iterations

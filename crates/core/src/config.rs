@@ -7,7 +7,9 @@ use kcore_buckets::BucketStrategy;
 ///
 /// The defaults reproduce the paper's final design: the adaptive
 /// bucketing strategy (plain scanning until the θ-core, HBS beyond it)
-/// with statistics collection on and the Sec. 4 techniques off.
+/// with the Sec. 4 techniques off. Every run fills
+/// [`kcore_parallel::RunStats`] (rounds, subrounds, work, burdened
+/// span).
 /// Techniques that do not apply to a problem are ignored (sampling and
 /// VGC assume unit incidences and are skipped for k-truss). Enable
 /// the techniques through [`Config::techniques`]:
@@ -26,10 +28,6 @@ pub struct Config {
     /// How per-round initial frontiers are produced (the third axis of
     /// the paper's Tab. 3 ablation).
     pub bucket_strategy: BucketStrategy,
-    /// Whether to fill [`kcore_parallel::RunStats`] (rounds, subrounds,
-    /// work, burdened span). Cheap relative to the peeling itself, so
-    /// on by default; benchmarks can turn it off.
-    pub collect_stats: bool,
     /// The paper's Sec. 4 practical techniques (sampling, vertical
     /// granularity control) and the online/offline driver choice.
     pub techniques: Techniques,
@@ -41,11 +39,7 @@ pub(crate) const ADAPTIVE_THETA: u32 = 16;
 
 impl Default for Config {
     fn default() -> Self {
-        Self {
-            bucket_strategy: BucketStrategy::Adaptive,
-            collect_stats: true,
-            techniques: Techniques::default(),
-        }
+        Self { bucket_strategy: BucketStrategy::Adaptive, techniques: Techniques::default() }
     }
 }
 
@@ -117,75 +111,33 @@ pub enum PeelMode {
 /// enters *sample mode*: instead of an exact induced degree maintained
 /// by per-edge atomic decrements (the contention hotspot), it tracks the
 /// count of *sampled* incident edges — each edge is in the sample with
-/// probability `2^-rate_log2`, decided by a deterministic hash of the
-/// endpoints and [`Sampling::seed`]. Removals of sampled edges decrement
-/// the counter (clamped at zero); when the counter crosses a watermark
-/// near the current round, the vertex is exactly re-counted
-/// ([`kcore_parallel::RunStats::resamples`]). A vertex in sample mode is
-/// only ever peeled after an exact recount confirms its induced degree,
-/// and an undershoot discovered in a round's initial frontier (the
-/// vertex should have been peeled earlier — the frontier is *polluted*)
-/// triggers a Las-Vegas restart without sampling
-/// ([`kcore_parallel::RunStats::restarts`], expected 0).
+/// probability 1/4, decided by a deterministic hash of the endpoints.
+/// Removals of sampled edges decrement the counter (clamped at zero);
+/// when the counter crosses a watermark near the current round, the
+/// vertex is exactly re-counted
+/// ([`kcore_parallel::RunStats::resamples`]). At every round end the
+/// sample-mode vertices that may have dropped to the next round are
+/// re-counted too, so a vertex in sample mode is only ever peeled at an
+/// exactly known induced degree: the result is exact by construction,
+/// never merely with high probability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Sampling {
     /// Minimum initial degree for a vertex to enter sample mode.
     pub threshold: u32,
-    /// Sampling rate exponent: each edge is sampled with probability
-    /// `2^-rate_log2`. Any value is accepted; from 64 on no edge is
-    /// sampled, and every recount then comes from validation.
-    pub rate_log2: u32,
-    /// Additive slack on the recount watermarks. Larger slack means
-    /// earlier recounts (more exact work, smaller failure probability);
-    /// the watermarks saturate at `u32::MAX`.
-    pub slack: u32,
-    /// End-of-round validation policy.
-    pub validation: Validation,
-    /// Seed of the deterministic edge-sampling hash.
-    pub seed: u64,
 }
 
 impl Default for Sampling {
     fn default() -> Self {
-        Self {
-            threshold: 128,
-            rate_log2: 2,
-            slack: 32,
-            validation: Validation::Full,
-            seed: 0x9E37_79B9_7F4A_7C15,
-        }
+        Self { threshold: 128 }
     }
 }
 
 impl Sampling {
-    /// Sampling with a degree threshold of `threshold`, other parameters
-    /// default. Tests use low thresholds to force sample mode on small
-    /// graphs.
+    /// Sampling with a degree threshold of `threshold`. Tests use low
+    /// thresholds to force sample mode on small graphs.
     pub fn with_threshold(threshold: u32) -> Self {
-        Self { threshold, ..Self::default() }
+        Self { threshold }
     }
-}
-
-/// How sample-mode vertices are validated at the end of each round.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Validation {
-    /// When round `k`'s frontier drains, exactly re-count every live
-    /// sample-mode vertex whose induced degree may have fallen to
-    /// `k + 1` or below. Deterministically exact: the round-start
-    /// invariant "every live vertex has induced degree > k" is verified
-    /// outright. The work is output-sensitive: a vertex is skipped when
-    /// no neighbor died since its last recount, or when its last count
-    /// minus the vertices settled since then is still at least `k + 2`,
-    /// so empty rounds cost no recounts. The default, and the mode the
-    /// oracle test matrix runs.
-    #[default]
-    Full,
-    /// Re-count only vertices whose sampled counter sits below the
-    /// validation watermark — the paper's fast path. Correct with high
-    /// probability; a miss that surfaces in a later round's frontier is
-    /// caught by the frontier recount and repaired by a Las-Vegas
-    /// restart with sampling disabled.
-    Watermark,
 }
 
 /// Parameters of vertical granularity control (Sec. 4.2).
@@ -220,7 +172,6 @@ mod tests {
         let c = Config::default();
         assert_eq!(c.bucket_strategy, BucketStrategy::Adaptive);
         assert_eq!(ADAPTIVE_THETA, 16);
-        assert!(c.collect_stats);
         // Techniques are opt-in: the default config is the plain
         // framework (the ablation baseline).
         assert_eq!(c.techniques, Techniques::default());
@@ -242,7 +193,6 @@ mod tests {
         assert!(t.sampling.is_some());
         assert!(t.vgc.is_some());
         assert_eq!(t.mode, PeelMode::Online);
-        assert_eq!(t.sampling.unwrap().validation, Validation::Full);
     }
 
     #[test]

@@ -163,12 +163,6 @@ impl<'g, P, G> Decomposition<'g, P, G> {
         self
     }
 
-    /// Disables run-statistics collection (benchmark timings).
-    pub fn without_stats(mut self) -> Self {
-        self.config.collect_stats = false;
-        self
-    }
-
     /// The configuration as currently staged (before env resolution).
     pub fn staged_config(&self) -> &Config {
         &self.config
@@ -331,20 +325,17 @@ mod tests {
     #[test]
     fn builder_shortcuts_stage_config_fields() {
         let g = gen::cycle(12);
-        let d = Decomposition::kcore(&g)
-            .strategy(BucketStrategy::Hierarchical)
-            .techniques(Techniques {
+        let d = Decomposition::kcore(&g).strategy(BucketStrategy::Hierarchical).techniques(
+            Techniques {
                 sampling: Some(Sampling::with_threshold(8)),
                 vgc: Some(Vgc::default()),
                 ..Techniques::default()
-            })
-            .without_stats();
+            },
+        );
         assert_eq!(d.staged_config().bucket_strategy, BucketStrategy::Hierarchical);
         assert!(d.staged_config().techniques.sampling.is_some());
-        assert!(!d.staged_config().collect_stats);
         let r = d.run();
         assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
-        assert_eq!(r.stats().rounds, 0, "stats disabled");
     }
 
     #[test]

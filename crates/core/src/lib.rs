@@ -39,8 +39,7 @@
 //! * **Sampling** ([`Sampling`], Sec. 4.1) — high-priority elements
 //!   track an approximate priority over a hashed incidence sample,
 //!   shedding decrement contention on hubs; exact recounts at every
-//!   peel decision keep the output oracle-identical, and an undershoot
-//!   that pollutes a frontier triggers a Las-Vegas restart.
+//!   peel decision keep the output oracle-identical by construction.
 //!   Unit-incidence problems only.
 //! * **Vertical granularity control** ([`Vgc`], Sec. 4.2) — workers
 //!   chase local peel chains sequentially instead of bouncing every
@@ -90,7 +89,7 @@ mod peel;
 mod problems;
 mod result;
 
-pub use config::{Config, PeelMode, Sampling, Techniques, Validation, Vgc};
+pub use config::{Config, PeelMode, Sampling, Techniques, Vgc};
 pub use decomposition::{
     ApproxDensestSpec, Decomposition, DensestSpec, KcoreSpec, KhCoreSpec, KtrussSpec,
 };

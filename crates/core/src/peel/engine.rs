@@ -72,12 +72,6 @@ impl PriorityView for LiveView<'_> {
     }
 }
 
-/// Error raised when a round's initial frontier contains a sample-mode
-/// element whose exact priority is *below* the round — the element
-/// should have been peeled earlier, so every settle since is suspect.
-/// The run is repeated without sampling (Las-Vegas recovery).
-pub(crate) struct Polluted;
-
 /// Unit-decrement incidence: `incident(e)` lists the elements whose
 /// settling costs `e` exactly one priority unit each (and vice versa —
 /// the relation is symmetric in every current client).
@@ -355,11 +349,9 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
         &self.config
     }
 
-    /// Peels the whole universe and assembles the problem's result.
-    ///
-    /// Sampling's Las-Vegas restart loop lives here: a polluted
-    /// frontier aborts the attempt and the run repeats with sampling
-    /// disabled ([`RunStats::restarts`] counts the aborts).
+    /// Peels the whole universe in one pass and assembles the problem's
+    /// result. Every technique is exact by construction, so the pass
+    /// never repeats ([`RunStats::restarts`] stays 0).
     ///
     /// # Panics
     ///
@@ -374,38 +366,25 @@ impl<'p, P: PeelProblem> PeelEngine<'p, P> {
         if self.problem.num_elements() == 0 {
             return self.problem.assemble(Vec::new(), RunStats::default());
         }
-        let mut config = self.config;
-        let mut restarts = 0u64;
-        loop {
-            let mut stats = RunStats::default();
-            let attempt = {
-                // Run-root span, named after the problem (one per
-                // Las-Vegas attempt); round/subround spans nest inside.
-                let _run = kcore_obs::SpanGuard::begin_dyn(
-                    self.problem.name(),
-                    self.problem.num_elements() as u64,
-                );
-                self.attempt(&config, &mut stats)
-            };
-            match attempt {
-                Ok(rounds) => {
-                    stats.restarts = restarts;
-                    stats.publish_metrics();
-                    return self.problem.assemble(rounds, stats);
-                }
-                Err(Polluted) => {
-                    restarts += 1;
-                    config.techniques.sampling = None;
-                }
-            }
-        }
+        let mut stats = RunStats::default();
+        let rounds = {
+            // Run-root span, named after the problem; round/subround
+            // spans nest inside.
+            let _run = kcore_obs::SpanGuard::begin_dyn(
+                self.problem.name(),
+                self.problem.num_elements() as u64,
+            );
+            self.peel(&mut stats)
+        };
+        stats.publish_metrics();
+        self.problem.assemble(rounds, stats)
     }
 
-    /// One attempt: maps the peel mode and the problem's incidence to a
-    /// subround step, and runs the round loop with the problem's round
-    /// policy as the frontier source.
-    fn attempt(&self, config: &Config, stats: &mut RunStats) -> Result<Vec<u32>, Polluted> {
-        let problem = self.problem;
+    /// Maps the peel mode and the problem's incidence to a subround
+    /// step, and runs the round loop with the problem's round policy as
+    /// the frontier source.
+    fn peel(&self, stats: &mut RunStats) -> Vec<u32> {
+        let (config, problem) = (&self.config, self.problem);
         let n = problem.num_elements();
         let init = problem.init_priorities();
         let policy = problem.round_policy();
@@ -489,7 +468,6 @@ pub(crate) struct Round<'a, P> {
     pub(crate) prio: &'a [AtomicU32],
     pub(crate) settled: &'a [AtomicU32],
     pub(crate) bucket: &'a dyn BucketStructure,
-    pub(crate) collect_stats: bool,
     /// The round index, recorded as the settle round of its elements.
     pub(crate) index: u32,
     /// The clamp floor: the index under [`RoundPolicy::MinBucket`], the
@@ -499,11 +477,8 @@ pub(crate) struct Round<'a, P> {
 
 impl<P> Round<'_, P> {
     /// Incident arcs of `frontier` — the work a unit-incidence step
-    /// charges on top of the frontier itself — or 0 without stats.
+    /// charges on top of the frontier itself.
     pub(crate) fn arcs(&self, inc: &dyn UnitIncidence, frontier: &[u32]) -> u64 {
-        if !self.collect_stats {
-            return 0;
-        }
         frontier.iter().map(|&v| inc.num_incident(v) as u64).sum()
     }
 }
@@ -514,8 +489,7 @@ pub(crate) struct Wave {
     pub(crate) next: Vec<u32>,
     /// Elements settled beyond the frontier itself (VGC chases).
     pub(crate) chased: usize,
-    /// Work beyond one unit per frontier element; read only when stats
-    /// are collected.
+    /// Work beyond one unit per frontier element.
     pub(crate) work: u64,
     /// Longest sequential chain, the burdened span's `chain` term.
     pub(crate) chain: u64,
@@ -531,10 +505,8 @@ pub(crate) trait Step {
     /// Settles `frontier` and applies the decrement rule.
     fn subround<P: PeelProblem>(&mut self, frontier: &[u32], round: &Round<'_, P>) -> Wave;
 
-    /// Checks a round's initial frontier before it peels.
-    fn round_start<P: PeelProblem>(&mut self, _: &[u32], _: &Round<'_, P>) -> Result<(), Polluted> {
-        Ok(())
-    }
+    /// Prepares a round's initial frontier before it peels.
+    fn round_start<P: PeelProblem>(&mut self, _: &[u32], _: &Round<'_, P>) {}
 
     /// Called when a round's frontier runs dry; a non-empty result
     /// re-opens the round.
@@ -569,7 +541,7 @@ fn run_rounds<P: PeelProblem, S: Step>(
     init: Vec<u32>,
     mut step: S,
     stats: &mut RunStats,
-) -> Result<Vec<u32>, Polluted> {
+) -> Vec<u32> {
     let n = init.len();
     let prio: Vec<AtomicU32> = init.iter().map(|&d| AtomicU32::new(d)).collect();
     let settled: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNSET)).collect();
@@ -581,7 +553,6 @@ fn run_rounds<P: PeelProblem, S: Step>(
     // drain it; exact rounds end at it.
     let max_prio = u64::from(*init.iter().max().unwrap_or(&0));
     let last_round = max_prio + u64::from(matches!(policy, RoundPolicy::Threshold(_)));
-    let collect_stats = config.collect_stats;
     let view = LiveView { prio: &prio, settled: &settled };
     let mut remaining = n;
     let mut floor = 0u32; // lower bound on live priorities
@@ -627,11 +598,10 @@ fn run_rounds<P: PeelProblem, S: Step>(
             prio: &prio,
             settled: &settled,
             bucket: &*bucket,
-            collect_stats,
             index: round,
             floor: t,
         };
-        step.round_start(&frontier, &rd)?;
+        step.round_start(&frontier, &rd);
         let mut subrounds = 0u32;
         loop {
             if frontier.is_empty() {
@@ -645,21 +615,17 @@ fn run_rounds<P: PeelProblem, S: Step>(
             remaining -= frontier.len();
             let wave = step.subround(&frontier, &rd);
             remaining -= wave.chased;
-            if collect_stats {
-                stats.max_frontier = stats.max_frontier.max(frontier.len());
-                stats.work += frontier.len() as u64 + wave.work;
-                stats.record_subround(S::SYNCS, wave.chain);
-            }
+            stats.max_frontier = stats.max_frontier.max(frontier.len());
+            stats.work += frontier.len() as u64 + wave.work;
+            stats.record_subround(S::SYNCS, wave.chain);
             frontier = wave.next;
         }
-        if collect_stats {
-            stats.record_round(subrounds);
-        }
+        stats.record_round(subrounds);
         floor = t.saturating_add(1);
         round += 1;
     }
     step.finish(stats);
-    Ok(settled.into_iter().map(AtomicU32::into_inner).collect())
+    settled.into_iter().map(AtomicU32::into_inner).collect()
 }
 
 /// Hands the hash bag's contents to the next subround.
@@ -706,7 +672,7 @@ impl Stamps {
 
 /// The fused step for unit incidences: settle and decrement run in one
 /// task per frontier element ([`vgc::peel_from`]), one global sync per
-/// subround. Sampling validates every round's initial frontier and may
+/// subround. Sampling claims every round's initial frontier and may
 /// re-open a round at its end; VGC chases local chains.
 pub(crate) struct FusedStep<'p> {
     pub(crate) inc: &'p dyn UnitIncidence,
@@ -760,22 +726,18 @@ impl Step for FusedStep<'_> {
         }
     }
 
-    fn round_start<P: PeelProblem>(
-        &mut self,
-        frontier: &[u32],
-        round: &Round<'_, P>,
-    ) -> Result<(), Polluted> {
-        // Sample-mode elements surface with their last recounted
-        // priority; confirm it exactly before peeling them.
-        let Some(s) = &self.sampling else { return Ok(()) };
-        s.validate_frontier(frontier, round, self.inc, &self.counters)
+    fn round_start<P: PeelProblem>(&mut self, frontier: &[u32], round: &Round<'_, P>) {
+        // Sample-mode elements surface at their exact count (the
+        // round-start invariant); claim them for the round.
+        if let Some(s) = &self.sampling {
+            s.claim_frontier(frontier, round, self.inc);
+        }
     }
 
     fn round_end<P: PeelProblem>(&mut self, round: &Round<'_, P>) -> Vec<u32> {
         // End-of-round validation: exact recounts of the sample-mode
-        // elements that may have dropped to `k + 1` (all of them under
-        // `Validation::Full`). Anything caught at `<= k` belongs to
-        // this round and re-opens it.
+        // elements that may have dropped to `k + 1`. Anything caught at
+        // `<= k` belongs to this round and re-opens it.
         let Some(s) = &mut self.sampling else { return Vec::new() };
         s.validate_round_end(round, self.inc, &self.counters)
     }
@@ -896,7 +858,7 @@ impl Step for TwoPhaseStep<'_> {
                     lowered(t, clamped_update(&round.prio[t as usize], k, |_| fresh));
                 }),
             }
-            if round.collect_stats && local > 0 {
+            if local > 0 {
                 applied.fetch_add(local, Ordering::Relaxed);
             }
         });

@@ -27,7 +27,7 @@
 //!   problems live in [`crate::problems`].
 //! * [`sampling`] — Sec. 4.1's sampling scheme: high-priority elements
 //!   track an approximate priority over a hashed incidence sample, and
-//!   are only peeled after an exact recount.
+//!   are only peeled at an exactly known count.
 //! * [`vgc`] — Sec. 4.2's vertical granularity control: a worker chases
 //!   the local peel chain sequentially instead of bouncing every
 //!   frontier hit through the hash bag.

@@ -6,10 +6,11 @@
 //! element whose initial priority reaches the configured threshold
 //! enters **sample mode** and stops maintaining an exact priority.
 //! Instead it tracks the number of *sampled* live incident elements,
-//! where each incidence is in the sample with probability `2^-r`,
-//! decided by a deterministic endpoint hash. A removal then touches the
-//! shared counter only for sampled incidences — a `2^r`-fold contention
-//! reduction — with a clamped (floor-0) atomic decrement.
+//! where each incidence is in the sample with probability `2^-r`
+//! (`r = RATE_LOG2`), decided by a deterministic endpoint hash. A
+//! removal then touches the shared counter only for sampled incidences
+//! — a `2^r`-fold contention reduction — with a clamped (floor-0)
+//! atomic decrement.
 //!
 //! The scheme applies to [`crate::Incidence::Unit`] problems (each dead
 //! incident element costs one unit, so the sampled counter estimates
@@ -17,8 +18,7 @@
 //! k-core the "incidences" are exactly the graph's edges, matching the
 //! paper's presentation.
 //!
-//! Exactness is restored at the decision points, all of which re-count
-//! the true priority ([`kcore_parallel::RunStats::resamples`]):
+//! Exactness is restored at the decision points:
 //!
 //! * **Trigger recounts** fire inside a subround when the sampled
 //!   counter crosses the trigger watermark (see below). A recount at
@@ -26,26 +26,25 @@
 //!   claimed and joins the next subround through the hash bag. A
 //!   recount above `k` refreshes the stored priority (monotonically
 //!   decreasing) and re-files the element in the bucket structure.
-//! * **End-of-round validation** re-counts sample-mode elements when a
-//!   round's frontier drains. It skips every element whose outcome is
-//!   already known (see *Output-sensitive validation* below); of the
-//!   rest it re-counts all under [`Validation::Full`]
-//!   (deterministically exact, the default), or only those under the
-//!   validation watermark for the paper-faithful
-//!   [`Validation::Watermark`] fast path
-//!   ([`kcore_parallel::RunStats::validate_calls`]).
-//! * **Frontier validation** re-counts sample-mode elements surfacing
-//!   in a round's initial frontier. Their stored priority is always an
-//!   upper bound on the truth, so a recount *below* the round proves an
-//!   earlier round missed the element — the frontier is polluted, and
-//!   the engine restarts the run without sampling
-//!   ([`kcore_parallel::RunStats::restarts`]; a Las-Vegas recovery that
-//!   the watermark deviation term makes vanishingly rare, and full
-//!   validation makes impossible).
+//! * **End-of-round validation** exactly re-counts, when a round's
+//!   frontier drains, every live sample-mode element whose count may
+//!   have fallen to `k + 1` or below, skipping those whose outcome is
+//!   already known (see *Output-sensitive validation* below;
+//!   [`kcore_parallel::RunStats::validate_calls`]). Elements caught at
+//!   `<= k` re-open the round.
+//! * **Frontier claims** take the sample-mode elements surfacing in a
+//!   round's initial frontier without a recount: the invariant below
+//!   fixes their count at exactly the round.
 //!
-//! A sample-mode element is therefore **never peeled on approximate
-//! evidence** — every settle is preceded by an exact recount — which is
-//! how the scheme stays oracle-identical while shedding contention.
+//! Every trigger and validation recount counts in
+//! [`kcore_parallel::RunStats::resamples`]. A sample-mode element is
+//! **never peeled on approximate evidence** — each settle follows an
+//! exact recount or the exact count the invariant fixes — which is how
+//! the scheme stays oracle-identical while shedding contention. The
+//! end-of-round validation skips only elements whose outcome is known,
+//! so no round can miss an element: the scheme is exact by
+//! construction, and no run is ever repeated
+//! ([`kcore_parallel::RunStats::restarts`] is always 0).
 //!
 //! ## Output-sensitive validation
 //!
@@ -58,8 +57,7 @@
 //!   element has lost nothing since its last gap recount (or since the
 //!   run began), so its stored priority *is* its exact count and the
 //!   bucket structure files it there: the bucket surfaces it in the
-//!   right round, and the frontier validation confirms it. Empty rounds
-//!   therefore cost no recounts at all.
+//!   right round. Empty rounds therefore cost no recounts at all.
 //! * **Settled-count lower bound.** A gap recount records its count
 //!   `base` and the number of elements settled so far. If `since`
 //!   elements settled after that, the element has lost at most `since`
@@ -67,7 +65,7 @@
 //!   more it neither belongs to round `k` nor to round `k + 1`'s
 //!   initial frontier, and the recount waits for a later round end.
 //!
-//! The invariant `Validation::Full` keeps at every round start `k` is
+//! The invariant the validation keeps at every round start `k` is
 //! therefore: every live sample-mode element counts at least `k`, and
 //! every one that counts exactly `k` is stored at `k`. Elements above
 //! may carry a stale (larger) stored priority; it is still an upper
@@ -77,39 +75,43 @@
 //! [`crate::RoundPolicy::MinBucket`] floors (`floor = k`) need the
 //! argument: sampling is rejected under threshold rounds.
 //!
-//! ## Watermark constants
+//! A sample-mode element in round `k`'s initial frontier is stored at
+//! `k` (or the bucket would not have surfaced it), which upper-bounds
+//! its count, and the invariant bounds the count from below by `k`: it
+//! counts exactly `k`, and the frontier claim needs no recount. Debug
+//! builds assert it.
+//!
+//! ## Trigger watermark
 //!
 //! With sampling rate `2^-r`, an element of true live priority `d` has
-//! a sampled counter concentrated around `d / 2^r`. The paper's
-//! watermarks sit at the expected counter of the round boundary plus a
-//! Chernoff-style `O(√(μ log n))` deviation, which is what makes
-//! [`Validation::Watermark`] correct with high probability. We
-//! reproduce that shape exactly:
-//!
-//! * trigger: `((k+1) >> r) + ceil(√(3 · ((k+1) >> r) · log₂ n)) +
-//!   slack`,
-//! * validation: `2 ×` the trigger (the extra factor covers trigger
-//!   crossings that were skipped because the watermark moves up as `k`
-//!   grows).
-//!
-//! **Delta from the paper:** earlier revisions of this module replaced
-//! the deviation term with the flat additive [`Sampling::slack`] alone
-//! (trigger `((k+1) >> r) + slack`, validation `2×`), which made the
-//! failure probability depend on the configured slack rather than on
-//! `n`. The Chernoff deviation is now computed per round as above;
-//! `slack` is retained on top as a tunable safety floor (default 32,
-//! set it to 0 to run the bare paper constants). The paper also keeps
-//! sampled counters in per-thread shards before they hit the shared
-//! counter; we take the hit on the shared atomic directly, which only
-//! strengthens the concentration argument (no shard staleness).
+//! a sampled counter concentrated around `d / 2^r`. The trigger sits
+//! at the expected counter of the round boundary plus a Chernoff-style
+//! `O(√(μ log n))` deviation and a flat `SLACK`:
+//! `((k+1) >> r) + ceil(√(3 · ((k+1) >> r) · log₂ n)) + SLACK`.
+//! The watermark only schedules early recounts, which keep the stored
+//! priorities of hot elements fresh; exactness never depends on it,
+//! because the end-of-round validation catches every element the
+//! triggers miss. The paper also keeps sampled counters in per-thread
+//! shards before they hit the shared counter; we take the hit on the
+//! shared atomic directly.
 
-use super::engine::{FusedStep, PeelProblem, Polluted, Round, UnitIncidence, UNSET};
-use crate::config::{Sampling, Validation};
+use super::engine::{FusedStep, PeelProblem, Round, UnitIncidence, UNSET};
+use crate::config::Sampling;
 use kcore_check::sync::atomic::{AtomicBool, AtomicU32, AtomicU8, Ordering};
 use kcore_obs::{counter, span};
 use kcore_parallel::primitives::pack_index;
 use kcore_parallel::TechniqueCounters;
 use rayon::prelude::*;
+
+/// Sampling rate exponent `r`: each incidence is in the sample with
+/// probability `2^-r`.
+const RATE_LOG2: u32 = 2;
+/// `2^RATE_LOG2 - 1`: an incidence is sampled iff its hash ANDs to zero.
+const MASK: u64 = (1 << RATE_LOG2) - 1;
+/// Flat additive slack on the trigger watermark.
+const SLACK: u32 = 32;
+/// Seed of the deterministic edge-sampling hash.
+const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Element tracks its exact priority (the plain Alg. 1 path).
 const EXACT: u8 = 0;
@@ -118,16 +120,13 @@ const EXACT: u8 = 0;
 const SAMPLED: u8 = 1;
 /// A worker holds the element's recount token.
 const RECOUNT: u8 = 2;
-/// An exact recount confirmed the element peels in the current round;
-/// it sits in the frontier or hash bag and takes no further recounts.
+/// The element peels in the current round (an exact recount or the
+/// round-start invariant put it there); it sits in the frontier or hash
+/// bag and takes no further recounts.
 const CLAIMED: u8 = 3;
 
 /// Per-run state of the sampling scheme.
 pub(crate) struct SamplingState {
-    cfg: Sampling,
-    /// `2^rate_log2 - 1`: an incidence is sampled iff its hash ANDs to
-    /// zero.
-    mask: u64,
     /// `ceil(log2 n)` of the element universe — the deviation term's
     /// `log n` factor.
     log2_n: u32,
@@ -146,7 +145,7 @@ pub(crate) struct SamplingState {
     base: Vec<AtomicU32>,
     /// Per-element `settled_total` when `base` was taken.
     stamp: Vec<AtomicU32>,
-    /// Elements settled so far in this attempt.
+    /// Elements settled so far in this run.
     settled_total: u32,
 }
 
@@ -173,8 +172,6 @@ impl SamplingState {
         if sampled.is_empty() {
             return None;
         }
-        // Rates at or past `2^-64` sample no incidence at all.
-        let mask = 1u64.checked_shl(cfg.rate_log2).map_or(u64::MAX, |bit| bit - 1);
         let log2_n = (usize::BITS - n.max(2).next_power_of_two().leading_zeros() - 1).max(1);
         let state: Vec<AtomicU8> =
             (0..n).map(|v| AtomicU8::new(if qualifies(v) { SAMPLED } else { EXACT })).collect();
@@ -186,7 +183,7 @@ impl SamplingState {
                     // Streaming walk: no incident slice is held, so this
                     // is safe on decode-on-the-fly backends.
                     inc.for_each_incident(v, &mut |u| {
-                        if edge_sampled(v, u, cfg.seed, mask) {
+                        if edge_sampled(v, u) {
                             count += 1;
                         }
                     });
@@ -195,8 +192,6 @@ impl SamplingState {
             })
             .collect();
         Some(Self {
-            cfg,
-            mask,
             log2_n,
             state,
             approx,
@@ -240,7 +235,7 @@ impl SamplingState {
         if !touched.load(Ordering::Relaxed) {
             touched.store(true, Ordering::Relaxed);
         }
-        if !edge_sampled(src, u, self.cfg.seed, self.mask) {
+        if !edge_sampled(src, u) {
             return;
         }
         let prev =
@@ -304,48 +299,34 @@ impl SamplingState {
         exact
     }
 
-    /// Confirms every sample-mode element in a round's initial frontier
-    /// by exact recount. Runs in the sequential gap between rounds, so
-    /// the counts are exact truths: an element below the round proves
-    /// the frontier polluted (an earlier round missed it) and aborts
-    /// the attempt.
-    pub(crate) fn validate_frontier<P: PeelProblem>(
+    /// Claims every sample-mode element in a round's initial frontier
+    /// for the round, without a recount: the round-start invariant
+    /// (see the module docs) fixes its count at exactly the round.
+    pub(crate) fn claim_frontier<P: PeelProblem>(
         &self,
         frontier: &[u32],
         round: &Round<'_, P>,
         inc: &dyn UnitIncidence,
-        counters: &TechniqueCounters,
-    ) -> Result<(), Polluted> {
+    ) {
         let _validate = span!("sampling.validate_frontier", frontier.len());
-        let polluted = AtomicBool::new(false);
         frontier.par_iter().for_each(|&v| {
             let state = self.state[v as usize].load(Ordering::Relaxed);
             debug_assert_ne!(state, CLAIMED, "claimed elements settle within their round");
-            if state != SAMPLED {
-                return;
-            }
-            counter!(counters.resamples, "sampling.resamples", 1);
-            // The stored priority (== k, or the bucket would not have
-            // surfaced v) upper-bounds the truth, so the recount claims
-            // v, and anything below k is pollution.
-            let exact = self.gap_recount(v, round, inc);
-            debug_assert!(exact <= round.floor);
-            if exact < round.floor {
-                polluted.store(true, Ordering::Relaxed);
+            if state == SAMPLED {
+                debug_assert_eq!(
+                    live_incident(v, round.settled, inc),
+                    round.floor,
+                    "a sample-mode element opens its round at exactly its count"
+                );
+                self.state[v as usize].store(CLAIMED, Ordering::Relaxed);
             }
         });
-        if polluted.load(Ordering::Relaxed) {
-            Err(Polluted)
-        } else {
-            Ok(())
-        }
     }
 
     /// End-of-round validation: exactly re-counts the live sample-mode
-    /// elements whose count may have reached `k + 1` (all of them under
-    /// [`Validation::Full`], those under the validation watermark
-    /// otherwise; see the module docs for the skips) and returns the
-    /// ones whose count already reached `k` — they re-open the round.
+    /// elements whose count may have reached `k + 1` (see the module
+    /// docs for the skips) and returns the ones whose count already
+    /// reached `k` — they re-open the round.
     pub(crate) fn validate_round_end<P: PeelProblem>(
         &mut self,
         round: &Round<'_, P>,
@@ -354,8 +335,6 @@ impl SamplingState {
     ) -> Vec<u32> {
         self.sampled.retain(|&v| round.settled[v as usize].load(Ordering::Relaxed) == UNSET);
         let _validate = span!("sampling.validate_round_end", self.sampled.len());
-        let full = self.cfg.validation == Validation::Full;
-        let vwm = self.validation_watermark(round.floor);
         let this = &*self;
         this.sampled
             .par_iter()
@@ -369,9 +348,6 @@ impl SamplingState {
                 let base = this.base[i].load(Ordering::Relaxed);
                 let since = this.settled_total - this.stamp[i].load(Ordering::Relaxed);
                 if stays_above_next_round(base, since, round.floor) {
-                    return None;
-                }
-                if !full && this.approx[i].load(Ordering::Relaxed) > vwm {
                     return None;
                 }
                 counter!(counters.validate_calls, "sampling.validate_calls", 1);
@@ -412,7 +388,7 @@ impl SamplingState {
     fn tally(&self, v: u32, w: u32, settled: &[AtomicU32], counts: &mut Counts) {
         if settled[w as usize].load(Ordering::Relaxed) == UNSET {
             counts.exact += 1;
-            if edge_sampled(v, w, self.cfg.seed, self.mask) {
+            if edge_sampled(v, w) {
                 counts.fresh += 1;
             }
         }
@@ -420,17 +396,11 @@ impl SamplingState {
 
     /// Sampled-counter level at which a mid-round removal triggers a
     /// recount: the expected counter at the round boundary, plus the
-    /// Chernoff deviation term, plus the configured flat slack (see the
-    /// module docs for the delta discussion).
+    /// Chernoff deviation term, plus the flat slack (see the module
+    /// docs). No term can overflow: `base <= 2^30` and `log2_n <= 64`.
     fn trigger_watermark(&self, k: u32) -> u32 {
-        let base = k.saturating_add(1).checked_shr(self.cfg.rate_log2).unwrap_or(0);
-        base.saturating_add(deviation(base, self.log2_n)).saturating_add(self.cfg.slack)
-    }
-
-    /// More generous end-of-round bound: catches elements whose trigger
-    /// crossing was skipped (the watermark moves up as `k` grows).
-    fn validation_watermark(&self, k: u32) -> u32 {
-        self.trigger_watermark(k).saturating_mul(2)
+        let base = ((u64::from(k) + 1) >> RATE_LOG2) as u32;
+        base + deviation(base, self.log2_n) + SLACK
     }
 }
 
@@ -440,6 +410,14 @@ impl SamplingState {
 struct Counts {
     exact: u32,
     fresh: u32,
+}
+
+/// Live incident elements of `v`: an exact count in the sequential gap
+/// between rounds.
+fn live_incident(v: u32, settled: &[AtomicU32], inc: &dyn UnitIncidence) -> u32 {
+    let live =
+        inc.incident(v).iter().filter(|&&w| settled[w as usize].load(Ordering::Relaxed) == UNSET);
+    live.count() as u32
 }
 
 /// Whether an element whose gap recount found `base` live incidences,
@@ -473,16 +451,16 @@ fn store_decreased(slot: &AtomicU32, exact: u32) -> Option<u32> {
 
 /// Whether incidence `{a, b}` is in the sample: a SplitMix64-style mix
 /// of the sorted id pair and the seed, accepted when the low
-/// `rate_log2` bits clear. Deterministic, so the init count and every
+/// `RATE_LOG2` bits clear. Deterministic, so the init count and every
 /// removal agree on the sample without storing it.
 #[inline]
-fn edge_sampled(a: u32, b: u32, seed: u64, mask: u64) -> bool {
+fn edge_sampled(a: u32, b: u32) -> bool {
     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    let mut h = ((lo as u64) << 32 | hi as u64) ^ seed;
+    let mut h = ((lo as u64) << 32 | hi as u64) ^ SEED;
     h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     h ^= h >> 31;
-    h & mask == 0
+    h & MASK == 0
 }
 
 #[cfg(test)]
@@ -492,24 +470,20 @@ mod tests {
 
     #[test]
     fn edge_sampling_is_symmetric_and_deterministic() {
-        let mask = (1u64 << 2) - 1;
         for (a, b) in [(0u32, 1u32), (5, 900), (123_456, 7)] {
-            assert_eq!(edge_sampled(a, b, 42, mask), edge_sampled(b, a, 42, mask));
-            assert_eq!(edge_sampled(a, b, 42, mask), edge_sampled(a, b, 42, mask));
+            assert_eq!(edge_sampled(a, b), edge_sampled(b, a));
+            assert_eq!(edge_sampled(a, b), edge_sampled(a, b));
         }
     }
 
     #[test]
     fn edge_sampling_rate_is_roughly_two_to_minus_r() {
-        for r in [1u32, 2, 3] {
-            let mask = (1u64 << r) - 1;
-            let hits = (0..40_000u32).filter(|&i| edge_sampled(i, i + 1, 7, mask)).count();
-            let expect = 40_000 >> r;
-            assert!(
-                hits > expect / 2 && hits < expect * 2,
-                "rate 2^-{r}: {hits} hits vs expected ~{expect}"
-            );
-        }
+        let hits = (0..40_000u32).filter(|&i| edge_sampled(i, i + 1)).count();
+        let expect = 40_000 >> RATE_LOG2;
+        assert!(
+            hits > expect / 2 && hits < expect * 2,
+            "rate 2^-{RATE_LOG2}: {hits} hits vs expected ~{expect}"
+        );
     }
 
     #[test]
@@ -523,8 +497,7 @@ mod tests {
         // The hub's sampled count reflects the hash sample of its edges.
         let approx = s.approx[0].load(Ordering::Relaxed);
         assert!(approx <= 49);
-        let manual =
-            (1..50u32).filter(|&leaf| edge_sampled(0, leaf, s.cfg.seed, s.mask)).count() as u32;
+        let manual = (1..50u32).filter(|&leaf| edge_sampled(0, leaf)).count() as u32;
         assert_eq!(approx, manual);
     }
 
@@ -564,14 +537,14 @@ mod tests {
     fn watermarks_scale_with_round_deviation_and_slack() {
         let g = gen::star(40); // n = 40 -> log2_n = 6
         let degrees = g.degrees();
-        let cfg = Sampling { rate_log2: 2, slack: 5, ..Sampling::with_threshold(10) };
-        let s = SamplingState::build(&g, &degrees, cfg).unwrap();
+        let s = SamplingState::build(&g, &degrees, Sampling::with_threshold(10)).unwrap();
         assert_eq!(s.log2_n, 6);
-        // Round 0: base = 1 >> 2 = 0, so no deviation term — only slack.
-        assert_eq!(s.trigger_watermark(0), 5);
+        // Rounds 0..=2: base = (k + 1) >> 2 = 0, so no deviation term —
+        // only the slack.
+        assert_eq!(s.trigger_watermark(0), SLACK);
+        assert_eq!(s.trigger_watermark(2), SLACK);
         // Round 7: base = 8 >> 2 = 2, deviation = ceil(sqrt(3*2*6)) = 6.
-        assert_eq!(s.trigger_watermark(7), 2 + 6 + 5);
-        assert_eq!(s.validation_watermark(7), (2 + 6 + 5) * 2);
+        assert_eq!(s.trigger_watermark(7), 2 + 6 + SLACK);
     }
 
     #[test]
@@ -592,32 +565,11 @@ mod tests {
 
     #[test]
     fn watermarks_saturate_instead_of_overflowing() {
+        // The largest round keeps every term in range: base = 2^30.
         let g = gen::star(40);
         let degrees = g.degrees();
-        for rate_log2 in [31, 32, 64, u32::MAX] {
-            let cfg = Sampling { rate_log2, slack: 0, ..Sampling::with_threshold(10) };
-            let s = SamplingState::build(&g, &degrees, cfg).unwrap();
-            let expect = if rate_log2 == 31 { 1 + deviation(1, s.log2_n) } else { 0 };
-            assert_eq!(s.trigger_watermark(u32::MAX - 1), expect, "rate 2^-{rate_log2}");
-        }
-        let cfg = Sampling { slack: u32::MAX, ..Sampling::with_threshold(10) };
-        let s = SamplingState::build(&g, &degrees, cfg).unwrap();
-        assert_eq!(s.trigger_watermark(7), u32::MAX);
-        assert_eq!(s.validation_watermark(7), u32::MAX);
-    }
-
-    #[test]
-    fn zero_slack_zero_base_recovers_bare_constants() {
-        // With slack 0 and a coarse rate, small rounds have base 0 and
-        // therefore no deviation term either: the trigger sits at 0 and
-        // only the bottom-out recount fires — the configuration the
-        // restart stress test relies on to actually produce pollution.
-        let g = gen::star(40);
-        let degrees = g.degrees();
-        let cfg = Sampling { rate_log2: 3, slack: 0, ..Sampling::with_threshold(10) };
-        let s = SamplingState::build(&g, &degrees, cfg).unwrap();
-        assert_eq!(s.trigger_watermark(0), 0);
-        assert_eq!(s.trigger_watermark(6), 0);
-        assert!(s.trigger_watermark(15) >= 2, "base 2 brings the deviation with it");
+        let s = SamplingState::build(&g, &degrees, Sampling::with_threshold(10)).unwrap();
+        let base = 1u32 << 30;
+        assert_eq!(s.trigger_watermark(u32::MAX), base + deviation(base, s.log2_n) + SLACK);
     }
 }

@@ -209,7 +209,7 @@ mod tests {
             BucketStrategy::Adaptive,
         ] {
             for techniques in [Techniques::default(), Techniques::offline()] {
-                let config = Config { bucket_strategy: strategy, techniques, ..Config::default() };
+                let config = Config { bucket_strategy: strategy, techniques };
                 let r = Decomposition::densest(g).exact_config(config).run();
                 let got = r.density();
                 assert!(

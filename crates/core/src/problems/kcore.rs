@@ -59,7 +59,7 @@ pub(crate) fn members<G: GraphBackend>(g: &G, k: u32) -> Vec<bool> {
 mod tests {
     use super::*;
     use crate::bz::bz_coreness;
-    use crate::config::{PeelMode, Sampling, Techniques, Validation, Vgc};
+    use crate::config::{PeelMode, Sampling, Techniques, Vgc};
     use crate::peel::engine::PeelEngine;
     use crate::{Config, Decomposition};
     use kcore_buckets::BucketStrategy;
@@ -98,7 +98,7 @@ mod tests {
         let want = bz_coreness(g);
         for strategy in strategies() {
             for (techniques, tname) in technique_variants() {
-                let config = Config { bucket_strategy: strategy, techniques, ..Config::default() };
+                let config = Config { bucket_strategy: strategy, techniques };
                 let got = Decomposition::kcore(g).config(config).run();
                 assert_eq!(
                     got.coreness(),
@@ -175,17 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_can_be_disabled() {
-        let g = gen::grid2d(10, 10);
-        let config = Config { collect_stats: false, ..Config::default() };
-        let r = Decomposition::kcore(&g).config(config).run();
-        assert_eq!(r.stats().rounds, 0);
-        assert_eq!(r.stats().work, 0);
-        // Coreness is still correct.
-        assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
-    }
-
-    #[test]
     fn adaptive_switchover_crosses_theta() {
         // planted_core has kmax >= 39 > θ = 16, so Adaptive upgrades to
         // HBS mid-run; the result must be unaffected.
@@ -218,7 +207,7 @@ mod tests {
         assert!(s.resamples > 0, "sample-mode vertices are only peeled after exact recounts");
         assert!(s.validate_calls > 0, "end-of-round validation must have run");
         assert!(s.peak_chain >= 1, "subround chains feed peak_chain");
-        assert_eq!(s.restarts, 0, "full validation never restarts");
+        assert_eq!(s.restarts, 0, "sampling never restarts");
     }
 
     #[test]
@@ -242,11 +231,13 @@ mod tests {
         let config = Config::with_techniques(techniques);
         // K40: rounds 0..39 are empty and every vertex is sampled. No
         // vertex loses a neighbor before round 39, so no round end
-        // recounts anything (the old full sweep made 1560 recounts).
+        // recounts anything (the old full sweep made 1560 recounts),
+        // and round 39 claims its 40-vertex frontier without a recount.
         let clique =
             with_threads(1, || Decomposition::kcore(&gen::complete(40)).exact_config(config).run());
         assert_eq!(clique.coreness(), &[39; 40]);
         assert_eq!(clique.stats().validate_calls, 0, "empty rounds must cost no recounts");
+        assert_eq!(clique.stats().resamples, 0, "frontier claims must cost no recounts");
         // A planted core over a power-law fringe: exact, with far fewer
         // recounts than the 16,098 of a full sweep at every round end.
         let g = gen::planted_core(3000, 4, 80, 1);
@@ -255,29 +246,6 @@ mod tests {
         let calls = r.stats().validate_calls;
         assert!(calls > 0 && calls < 16_098, "{calls} validation recounts");
         assert_eq!(r.stats().restarts, 0);
-    }
-
-    #[test]
-    fn extreme_sampling_parameters_stay_exact() {
-        // Shift and multiply overflows in the watermarks and the sample
-        // mask used to panic debug builds; every parameter is valid.
-        let g = gen::barabasi_albert(800, 5, 4);
-        let want = bz_coreness(&g);
-        for sampling in [
-            Sampling { rate_log2: 32, ..Sampling::with_threshold(8) },
-            Sampling { rate_log2: 64, ..Sampling::with_threshold(8) },
-            Sampling { rate_log2: u32::MAX, ..Sampling::with_threshold(8) },
-            Sampling { slack: u32::MAX, ..Sampling::with_threshold(8) },
-        ] {
-            for validation in [Validation::Full, Validation::Watermark] {
-                let sampling = Some(Sampling { validation, ..sampling });
-                let techniques = Techniques { sampling, ..Techniques::default() };
-                let r = Decomposition::kcore(&g)
-                    .exact_config(Config::with_techniques(techniques))
-                    .run();
-                assert_eq!(r.coreness(), want.as_slice(), "{sampling:?}");
-            }
-        }
     }
 
     #[test]
@@ -327,49 +295,6 @@ mod tests {
         assert_eq!(on.global_syncs, on.subrounds);
         assert_eq!(off.global_syncs, 3 * off.subrounds, "gather + histogram + apply");
         assert!(off.burdened_span > on.burdened_span);
-    }
-
-    #[test]
-    fn watermark_sampling_restarts_and_stays_exact() {
-        // Zero slack + coarse rate makes undershoot detection miss often
-        // enough that polluted frontiers actually occur; the Las-Vegas
-        // restart must repair every one of them. Single-threaded so the
-        // recount schedule (and thus the restart count) is reproducible.
-        let mut restarts = 0u64;
-        for seed in 0..6 {
-            let g = gen::barabasi_albert(600, 4, seed);
-            let techniques = Techniques {
-                sampling: Some(Sampling {
-                    threshold: 4,
-                    rate_log2: 3,
-                    slack: 0,
-                    validation: Validation::Watermark,
-                    seed,
-                }),
-                ..Techniques::default()
-            };
-            let r = with_threads(1, || {
-                Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run()
-            });
-            assert_eq!(r.coreness(), bz_coreness(&g).as_slice(), "seed {seed}");
-            restarts += r.stats().restarts;
-        }
-        assert!(restarts > 0, "zero slack must pollute at least one frontier across seeds");
-    }
-
-    #[test]
-    fn watermark_sampling_with_default_slack_does_not_restart() {
-        let g = gen::barabasi_albert(2000, 5, 3);
-        let techniques = Techniques {
-            sampling: Some(Sampling {
-                validation: Validation::Watermark,
-                ..Sampling::with_threshold(32)
-            }),
-            ..Techniques::default()
-        };
-        let r = Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run();
-        assert_eq!(r.coreness(), bz_coreness(&g).as_slice());
-        assert_eq!(r.stats().restarts, 0, "default slack keeps the failure probability negligible");
     }
 
     #[test]

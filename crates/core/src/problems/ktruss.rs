@@ -236,7 +236,7 @@ mod tests {
             BucketStrategy::Adaptive,
         ] {
             for techniques in [Techniques::default(), Techniques::offline()] {
-                out.push(Config { bucket_strategy: strategy, techniques, ..Config::default() });
+                out.push(Config { bucket_strategy: strategy, techniques });
             }
         }
         out

@@ -27,8 +27,7 @@ pub trait DecompositionResult {
     fn num_elements(&self) -> usize;
 
     /// Run counters of the pass that produced (or last updated) this
-    /// result. All-zero when the run was configured with
-    /// `collect_stats: false`.
+    /// result.
     fn stats(&self) -> &RunStats;
 
     /// Monotone update counter: 0 for a one-shot decomposition, bumped
@@ -125,7 +124,6 @@ impl CorenessResult {
     }
 
     /// Run counters (rounds, subrounds, work, burdened span, ...).
-    /// All-zero when the run was configured with `collect_stats: false`.
     pub fn stats(&self) -> &RunStats {
         &self.stats
     }

@@ -5,9 +5,7 @@
 //! satisfy the defining k-core property.
 
 use kcore::bz::bz_coreness;
-use kcore::{
-    BucketStrategy, Config, Decomposition, PeelMode, Sampling, Techniques, Validation, Vgc,
-};
+use kcore::{BucketStrategy, Config, Decomposition, PeelMode, Sampling, Techniques, Vgc};
 use kcore_graph::{gen, CsrGraph, GraphBuilder};
 use proptest::prelude::*;
 
@@ -20,16 +18,12 @@ fn all_strategies() -> Vec<BucketStrategy> {
     ]
 }
 
-/// The techniques axes: sampling off/full/watermark × VGC off/on ×
-/// online/offline. Sampling uses a low threshold (test graphs are
-/// small); both validation modes share the deterministic recount skips,
-/// and the watermark mode may restart but must still be exact. A short
-/// VGC chain bound forces the spill path to execute too.
+/// The techniques axes: sampling off/on × VGC off/on × online/offline.
+/// Sampling uses a low threshold (test graphs are small). A short VGC
+/// chain bound forces the spill path to execute too.
 fn all_techniques() -> Vec<Techniques> {
-    let full = Sampling::with_threshold(4);
-    let watermark = Sampling { validation: Validation::Watermark, ..full };
     let mut out = Vec::new();
-    for sampling in [None, Some(full), Some(watermark)] {
+    for sampling in [None, Some(Sampling::with_threshold(4))] {
         for vgc in [None, Some(Vgc { chain_limit: 6 })] {
             for mode in [PeelMode::Online, Techniques::offline().mode] {
                 out.push(Techniques { sampling, vgc, mode });
@@ -43,7 +37,7 @@ fn assert_all_configs_match(g: &CsrGraph) {
     let want = bz_coreness(g);
     for strategy in all_strategies() {
         for techniques in all_techniques() {
-            let config = Config { bucket_strategy: strategy, techniques, ..Config::default() };
+            let config = Config { bucket_strategy: strategy, techniques };
             let got = Decomposition::kcore(g).config(config).run();
             prop_assert_eq!(
                 got.coreness(),

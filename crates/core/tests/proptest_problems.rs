@@ -50,7 +50,7 @@ fn all_configs() -> Vec<Config> {
     let mut out = Vec::new();
     for strategy in all_strategies() {
         for techniques in [Techniques::default(), Techniques::offline()] {
-            out.push(Config { bucket_strategy: strategy, techniques, ..Config::default() });
+            out.push(Config { bucket_strategy: strategy, techniques });
         }
     }
     out

@@ -108,10 +108,10 @@ impl CsrGraph {
         }
     }
 
-    /// Wraps pre-validated slices inside a file mapping (see
-    /// [`crate::io::map_binary`], which checks the header and section
-    /// bounds before calling this). Trusts content invariants exactly
-    /// like [`CsrGraph::from_parts_unchecked`].
+    /// Wraps slices inside a file mapping. Trusts content invariants
+    /// exactly like [`CsrGraph::from_parts_unchecked`]: its caller,
+    /// [`crate::io::map_binary`], checks the header and section bounds
+    /// before and the content invariants after.
     pub(crate) fn from_mapped(
         region: Arc<MmapRegion>,
         offsets: RawSlice<usize>,
@@ -279,7 +279,7 @@ impl CsrGraph {
 
     /// The structural invariants, in order; `Err` describes the first
     /// violation.
-    fn check(&self) -> Result<(), String> {
+    pub(crate) fn check(&self) -> Result<(), String> {
         let n = self.num_vertices();
         let offsets = self.offsets();
         if offsets[0] != 0 {

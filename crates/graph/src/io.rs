@@ -228,10 +228,7 @@ pub fn read_binary<R: Read>(r: R) -> io::Result<CsrGraph> {
     let m = usize_le(read_word(&mut r)?);
     let offsets = read_words(&mut r, offset_slots(n)?, usize_le)?;
     let edges = read_words(&mut r, m, VertexId::from_le_bytes)?;
-    if offsets.last() != Some(&m) {
-        return Err(bad("offset/edge count mismatch"));
-    }
-    Ok(CsrGraph::from_parts_unchecked(offsets, edges))
+    CsrGraph::try_from_parts(offsets, edges).map_err(|e| bad(&e))
 }
 
 /// Convenience: writes the binary format to a file path.
@@ -247,8 +244,11 @@ pub fn load_binary<P: AsRef<Path>>(path: P) -> io::Result<CsrGraph> {
 /// Memory-maps a `KCOREGR1` file as a zero-copy [`CsrGraph`].
 ///
 /// The CSR arrays point straight into the read-only mapping: nothing is
-/// decoded or copied, pages fault in lazily, and the OS can evict them
-/// under pressure — datasets larger than RAM stay loadable. On targets
+/// decoded or copied, and the OS can evict pages under pressure —
+/// datasets larger than RAM stay loadable. File bytes are untrusted, so
+/// the content is validated in one pass over every arc before the
+/// graph is returned (like [`map_compressed`]'s block decode): a file
+/// [`CsrGraph::try_from_parts`] would reject is an error. On targets
 /// where the on-disk `u64` arrays cannot alias `usize` (non-64-bit or
 /// big-endian) or without `mmap` (non-Unix), this transparently falls
 /// back to the copying [`load_binary`].
@@ -273,10 +273,9 @@ fn map_binary_impl(path: &Path) -> io::Result<CsrGraph> {
     // The offset section fits in the mapping, so its end cannot overflow.
     let edges = RawSlice::<VertexId>::from_bytes(bytes, 24 + 8 * offsets.as_slice().len(), m)
         .ok_or_else(|| bad("truncated edge section"))?;
-    if offsets.as_slice().last() != Some(&m) {
-        return Err(bad("offset/edge count mismatch"));
-    }
-    Ok(CsrGraph::from_mapped(region, offsets, edges))
+    let g = CsrGraph::from_mapped(region, offsets, edges);
+    g.check().map_err(|e| bad(&e))?;
+    Ok(g)
 }
 
 #[cfg(not(all(unix, target_pointer_width = "64", target_endian = "little")))]
@@ -586,6 +585,38 @@ mod tests {
 
         for p in [full, truncated, header_only, bad_magic] {
             let _ = std::fs::remove_file(p);
+        }
+    }
+
+    #[test]
+    fn binary_readers_reject_invalid_csr_content() {
+        // Well-formed sections, invalid graphs: an asymmetric star
+        // (vertex 0 lists 1, 2 and 3; none of them lists 0 back) and an
+        // out-of-range neighbor id.
+        let dump = |offsets: &[u64], edges: &[u32]| {
+            let mut bytes = BINARY_MAGIC.to_vec();
+            bytes.extend_from_slice(&(offsets.len() as u64 - 1).to_le_bytes());
+            bytes.extend_from_slice(&(edges.len() as u64).to_le_bytes());
+            offsets.iter().for_each(|o| bytes.extend_from_slice(&o.to_le_bytes()));
+            edges.iter().for_each(|e| bytes.extend_from_slice(&e.to_le_bytes()));
+            bytes
+        };
+        for (i, (bytes, why)) in [
+            (dump(&[0, 3, 3, 3, 3], &[1, 2, 3]), "symmetric"),
+            (dump(&[0, 1, 2], &[1, 7]), "out of range"),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let err = read_binary(&bytes[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(why), "read_binary: {err}");
+            let path = temp_path(&format!("invalid_csr_{i}.bin"));
+            std::fs::write(&path, &bytes).unwrap();
+            let err = map_binary(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(why), "map_binary: {err}");
+            let _ = std::fs::remove_file(&path);
         }
     }
 
