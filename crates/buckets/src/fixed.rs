@@ -131,6 +131,23 @@ mod tests {
     use crate::testutil::{run_static_schedule, TestView};
 
     #[test]
+    fn default_jump_walks_to_the_next_live_key() {
+        let keys = vec![0, 3, 3, 40, 41, 90, 2, 90];
+        let mut s = FixedBuckets::new(&keys, 4);
+        crate::testutil::run_jump_schedule(&mut s, &keys);
+        // The walking default cannot see past its limit: an empty
+        // structure reports the empty frontier at the limit.
+        let view = TestView::new(&[]);
+        let mut empty = FixedBuckets::new(&[], 4);
+        assert_eq!(empty.next_nonempty(0, 37, &view), Some((37, Vec::new())));
+    }
+
+    #[test]
+    fn jumps_honour_the_limit() {
+        crate::testutil::run_limited_jump(&mut FixedBuckets::new(&[10, 20, 20], 4));
+    }
+
+    #[test]
     fn static_schedule_small_window() {
         let keys = vec![3, 0, 1, 1, 2, 5, 0, 3, 40, 17, 16, 15];
         let mut s = FixedBuckets::new(&keys, 4);

@@ -10,13 +10,16 @@
 //! vertex entry migrates toward bucket 0 through at most
 //! logarithmically many redistributions.
 //!
-//! Laziness: nothing moves until the peeling round `k` walks past the
-//! single-key span. At that point [`HierarchicalBuckets::next_frontier`]
-//! re-anchors at `base = k` and redistributes every stored entry by its
-//! *live* key (stale copies from earlier decrements are deduplicated
-//! here; dead entries are dropped). Keys only decrease and never drop
-//! below the current round, so every entry re-files at or after `k` —
-//! the monotone-heap invariant.
+//! Laziness: nothing moves until the peeling round walks past the
+//! single-key span. At that point
+//! [`HierarchicalBuckets::next_nonempty`] redistributes every stored
+//! entry by its *live* key (stale copies from earlier decrements are
+//! deduplicated here; dead entries are dropped) and re-anchors at the
+//! lowest live key it met in the same pass, capped at the caller's
+//! limit — so a run of empty levels past the span costs one
+//! redistribution, not one per block of eight levels. Keys only
+//! decrease and never drop below the current round, so every entry
+//! re-files at or after the anchor — the monotone-heap invariant.
 
 use crate::{BucketStructure, PriorityView};
 use crossbeam::queue::SegQueue;
@@ -77,48 +80,46 @@ impl HierarchicalBuckets {
         self.buckets.iter().map(SegQueue::len).sum()
     }
 
-    /// Re-anchors the layout at `k`, re-filing every entry by its live
-    /// key. Duplicate copies of a vertex (one per historical decrement)
-    /// collapse to one; dead entries drop out.
-    fn redistribute(&mut self, k: u32, view: &dyn PriorityView) {
+    /// Re-anchors the layout at the lowest live key, capped at `limit`,
+    /// re-filing every entry by its live key. The minimum comes out of
+    /// the same pass that drains the buckets, so a jump costs no more
+    /// than a plain redistribution. Duplicate copies of a vertex (one
+    /// per historical decrement) collapse to one; dead entries drop
+    /// out. Returns the new anchor, or `None` (layout untouched) when
+    /// no entry is live.
+    fn redistribute(&mut self, limit: u32, view: &dyn PriorityView) -> Option<u32> {
         let mut live: Vec<u32> = Vec::new();
+        let mut min = u32::MAX;
         for bucket in &self.buckets {
             while let Some(v) = bucket.pop() {
                 if view.alive(v) {
+                    min = min.min(view.key(v));
                     live.push(v);
                 }
             }
         }
+        if live.is_empty() {
+            return None;
+        }
         live.sort_unstable();
         live.dedup();
-        self.base.store(k, Ordering::Relaxed);
+        let anchor = min.min(limit);
+        self.base.store(anchor, Ordering::Relaxed);
         for v in live {
-            let key = view.key(v);
-            debug_assert!(key >= k, "live key {key} below round {k}");
-            self.buckets[bucket_index(k, key)].push(v);
+            self.buckets[bucket_index(anchor, view.key(v))].push(v);
         }
+        Some(anchor)
     }
-}
 
-impl BucketStructure for HierarchicalBuckets {
-    fn next_frontier(&mut self, k: u32, view: &dyn PriorityView) -> Vec<u32> {
-        let base = self.base.load(Ordering::Relaxed);
-        debug_assert!(k >= base, "rounds must be non-decreasing");
-        let base = if k - base >= NUM_SINGLE {
-            self.redistribute(k, view);
-            k
-        } else {
-            base
-        };
-        // After re-anchoring, round k always maps to a single-key
-        // bucket, so everything surviving the staleness filter is the
-        // frontier. Entries for vertices that moved to a lower key have
-        // a fresher copy elsewhere; entries already peeled are dead —
-        // both are dropped, never re-filed.
-        let bucket = &self.buckets[(k - base) as usize];
+    /// Pops the single-key bucket of `level` under anchor `base` and
+    /// returns its live entries still at that key. Entries for vertices
+    /// that moved to a lower key have a fresher copy elsewhere; entries
+    /// already peeled are dead — both are dropped, never re-filed.
+    fn take_level(&self, level: u32, base: u32, view: &dyn PriorityView) -> Vec<u32> {
+        let bucket = &self.buckets[(level - base) as usize];
         let mut frontier = Vec::with_capacity(bucket.len());
         while let Some(v) = bucket.pop() {
-            if view.alive(v) && view.key(v) == k {
+            if view.alive(v) && view.key(v) == level {
                 frontier.push(v);
             }
         }
@@ -129,6 +130,40 @@ impl BucketStructure for HierarchicalBuckets {
         frontier.sort_unstable();
         frontier.dedup();
         frontier
+    }
+}
+
+impl BucketStructure for HierarchicalBuckets {
+    fn next_frontier(&mut self, k: u32, view: &dyn PriorityView) -> Vec<u32> {
+        self.next_nonempty(k, k, view).map_or_else(Vec::new, |(_, frontier)| frontier)
+    }
+
+    fn next_nonempty(
+        &mut self,
+        k: u32,
+        limit: u32,
+        view: &dyn PriorityView,
+    ) -> Option<(u32, Vec<u32>)> {
+        let base = self.base.load(Ordering::Relaxed);
+        debug_assert!(k >= base, "rounds must be non-decreasing");
+        debug_assert!(limit >= k, "limit {limit} below level {k}");
+        // Walk what is left of the single-key span: one exact bucket
+        // per level, no redistribution.
+        for level in k..=limit {
+            if level - base >= NUM_SINGLE {
+                break;
+            }
+            let frontier = self.take_level(level, base, view);
+            if !frontier.is_empty() || level == limit {
+                return Some((level, frontier));
+            }
+        }
+        // The span ran out: one redistribution re-anchors at the lowest
+        // live key (or at `limit`), which then owns bucket 0. Every live
+        // key sits at or above the anchor, so the next round's keys all
+        // file under it — the monotone-heap invariant.
+        let anchor = self.redistribute(limit, view)?;
+        Some((anchor, self.take_level(anchor, anchor, view)))
     }
 
     fn drain_threshold(&mut self, t: u32, view: &dyn PriorityView) -> Vec<u32> {
@@ -414,5 +449,73 @@ mod tests {
         for k in 0..20 {
             assert!(s.next_frontier(k, &view).is_empty());
         }
+        assert_eq!(s.next_nonempty(20, u32::MAX, &view), None);
+    }
+
+    #[test]
+    fn jumps_land_on_the_next_live_key() {
+        // Gaps inside the single span, across it, and deep in the
+        // ranged buckets.
+        let keys = vec![0, 3, 3, 40, 41, 900, 2, 900, 5000];
+        let mut s = HierarchicalBuckets::new(&keys);
+        crate::testutil::run_jump_schedule(&mut s, &keys);
+        let view = TestView::new(&keys);
+        for v in 0..keys.len() as u32 {
+            view.kill(v);
+        }
+        assert_eq!(s.next_nonempty(5001, u32::MAX, &view), None, "nothing left alive");
+    }
+
+    #[test]
+    fn jumps_honour_the_limit() {
+        crate::testutil::run_limited_jump(&mut HierarchicalBuckets::new(&[10, 20, 20]));
+    }
+
+    #[test]
+    fn jump_into_a_ranged_bucket_drops_stale_and_dead_copies() {
+        // v0: 40 -> 20 crosses from [32, 64) into [16, 32) and files a
+        // second copy; 20 -> 19 stays put. v1 (25) dies before the jump.
+        let keys = vec![40, 25, 60];
+        let view = TestView::new(&keys);
+        let mut s = HierarchicalBuckets::new(&keys);
+        for (old, new) in [(40, 20), (20, 19)] {
+            view.set_key(0, new);
+            s.on_decrease(0, old, new, 0);
+        }
+        view.kill(1);
+        assert_eq!(s.stored_entries(), 4);
+        assert_eq!(s.next_nonempty(0, u32::MAX, &view), Some((19, vec![0])));
+        assert_eq!(s.base.load(Ordering::Relaxed), 19, "anchored at the lowest live key");
+        assert_eq!(s.stored_entries(), 1, "only v2's copy survives the redistribution");
+        view.kill(0);
+        assert_eq!(s.next_nonempty(20, u32::MAX, &view), Some((60, vec![2])));
+    }
+
+    #[test]
+    fn jump_lands_exactly_past_the_single_span() {
+        let keys = vec![3, NUM_SINGLE];
+        let view = TestView::new(&keys);
+        let mut s = HierarchicalBuckets::new(&keys);
+        assert_eq!(s.next_nonempty(0, u32::MAX, &view), Some((3, vec![0])));
+        view.kill(0);
+        assert_eq!(s.next_nonempty(4, u32::MAX, &view), Some((NUM_SINGLE, vec![1])));
+        assert_eq!(s.base.load(Ordering::Relaxed), NUM_SINGLE);
+    }
+
+    #[test]
+    fn decrease_after_a_jump_files_under_the_new_anchor() {
+        let keys = vec![100, 200];
+        let view = TestView::new(&keys);
+        let mut s = HierarchicalBuckets::new(&keys);
+        assert_eq!(s.next_nonempty(0, u32::MAX, &view), Some((100, vec![0])));
+        view.kill(0);
+        // During round 100, v1 drops 200 -> 103: single-key bucket 3
+        // under anchor 100, found by the span walk without another
+        // redistribution.
+        view.set_key(1, 103);
+        s.on_decrease(1, 200, 103, 100);
+        assert_eq!(s.stored_entries(), 2, "crossing into the single span files a copy");
+        assert_eq!(s.next_nonempty(101, u32::MAX, &view), Some((103, vec![1])));
+        assert_eq!(s.base.load(Ordering::Relaxed), 100, "no redistribution inside the span");
     }
 }

@@ -1,8 +1,9 @@
 //! Bucketing structures for peeling algorithms (paper Sec. 5).
 //!
 //! A bucketing structure manages the *active set* of a peeling algorithm:
-//! at each round `k` it must produce the initial frontier — every active
-//! element whose priority equals `k` — and absorb concurrent
+//! at each round it must produce the initial frontier — every active
+//! element whose priority equals the lowest live priority `k`, jumping
+//! over empty levels — and absorb concurrent
 //! `DecreaseKey` notifications while a round is being peeled. The
 //! elements are opaque `u32` ids and the priority is whatever monotone
 //! key the peeling problem maintains — vertex induced degree for k-core,
@@ -55,8 +56,13 @@ pub trait PriorityView: Sync {
 ///
 /// Contract expected by the `kcore` peel engine (any [`PeelProblem`]
 /// client, not just k-core):
-/// * `next_frontier(k, view)` is called once per round with strictly
-///   increasing `k`, between peels (exclusive access).
+/// * Rounds advance by jumps: the engine asks
+///   [`BucketStructure::next_nonempty`] for the lowest non-empty level
+///   at or above one past the last visited level, between peels
+///   (exclusive access), so the levels it asks about strictly increase
+///   and empty levels in between are never visited.
+///   [`BucketStructure::next_frontier`] is the single-level form (a
+///   jump bounded by its own start).
 /// * `on_decrease(v, old_key, new_key, k)` may be called concurrently
 ///   during a peel, with `old_key > new_key > k` (keys that drop *to*
 ///   `k` go directly to the in-round frontier, never through the bucket
@@ -71,6 +77,39 @@ pub trait PriorityView: Sync {
 pub trait BucketStructure: Send + Sync {
     /// Returns every active element with priority exactly `k`.
     fn next_frontier(&mut self, k: u32, view: &dyn PriorityView) -> Vec<u32>;
+
+    /// Jumps to the lowest level in `[k, limit]` holding live elements
+    /// and returns it with its frontier (every active element of that
+    /// priority) — Julienne's `next_bucket`. When nothing lies in
+    /// `[k, limit]` it returns `limit` with an empty frontier, and the
+    /// structure counts as advanced to `limit`. `None` means no element
+    /// is live at all.
+    ///
+    /// With `limit == k` it does exactly the work of
+    /// [`BucketStructure::next_frontier`]`(k)`.
+    /// The call participates in the monotone key sequence like a run
+    /// of `next_frontier` calls up to the returned level: the next call
+    /// must start above it.
+    ///
+    /// The default implementation walks `next_frontier` from `k` to
+    /// `limit`. It cannot see past `limit`, so it never returns `None`;
+    /// structures that can find the minimum live key directly override
+    /// it.
+    fn next_nonempty(
+        &mut self,
+        k: u32,
+        limit: u32,
+        view: &dyn PriorityView,
+    ) -> Option<(u32, Vec<u32>)> {
+        debug_assert!(limit >= k, "limit {limit} below level {k}");
+        for level in k..limit {
+            let frontier = self.next_frontier(level, view);
+            if !frontier.is_empty() {
+                return Some((level, frontier));
+            }
+        }
+        Some((limit, self.next_frontier(limit, view)))
+    }
 
     /// Returns every active element with priority in `[lo, hi)` —
     /// the bulk form used by offline range peeling (extracting the
@@ -248,6 +287,48 @@ pub(crate) mod testutil {
         if prev.is_some_and(|p| p >= maxk) {
             assert!(seen.iter().all(|&s| s), "some vertex never surfaced: {seen:?}");
         }
+    }
+
+    /// Drives a bucket structure through a jump schedule over static
+    /// keys with gaps: each `next_nonempty` call from one past the last
+    /// visited level must land on the lowest remaining key and surface
+    /// exactly the vertices holding it. `limit` is the top key, which
+    /// keeps the default (walking) implementation bounded.
+    pub fn run_jump_schedule(structure: &mut dyn super::BucketStructure, keys: &[u32]) {
+        let view = TestView::new(keys);
+        let maxk = keys.iter().copied().max().unwrap_or(0);
+        let mut levels: Vec<u32> = keys.to_vec();
+        levels.sort_unstable();
+        levels.dedup();
+        let mut k = 0;
+        for level in levels {
+            let (got, mut frontier) =
+                structure.next_nonempty(k, maxk, &view).expect("live elements remain");
+            assert_eq!(got, level, "jump from {k} must land on the next key");
+            frontier.sort_unstable();
+            let want: Vec<u32> =
+                (0..keys.len() as u32).filter(|&v| keys[v as usize] == level).collect();
+            assert_eq!(frontier, want, "frontier at level {level}");
+            for &v in &frontier {
+                view.kill(v);
+            }
+            k = level + 1;
+        }
+    }
+
+    /// Checks that `next_nonempty` honours its limit: with nothing in
+    /// `[k, limit]` it stops at `limit` with an empty frontier, and the
+    /// next call, starting past it, still finds the elements above.
+    pub fn run_limited_jump(structure: &mut dyn super::BucketStructure) {
+        let keys = [10, 20, 20];
+        let view = TestView::new(&keys);
+        assert_eq!(structure.next_nonempty(0, 5, &view), Some((5, Vec::new())));
+        assert_eq!(structure.next_nonempty(6, 10, &view), Some((10, vec![0])));
+        view.kill(0);
+        assert_eq!(structure.next_nonempty(11, 11, &view), Some((11, Vec::new())));
+        let (level, mut frontier) = structure.next_nonempty(12, 30, &view).unwrap();
+        frontier.sort_unstable();
+        assert_eq!((level, frontier), (20, vec![1, 2]));
     }
 
     /// Drives a bucket structure through a full synthetic peeling

@@ -4,10 +4,12 @@
 //! (`key == k`) out of it and compacts away peeled vertices. The total
 //! cost over all rounds is `Σ|A_i| = O(n + m)` (Thm. 3.1) — work-optimal
 //! but with one full active-set scan per round, which is what HBS
-//! improves on dense graphs.
+//! improves on dense graphs. A round whose level turns out empty jumps
+//! to the active set's minimum key with one extra reduce, so a run of
+//! empty levels costs one scan, not one per level.
 
 use crate::{BucketStructure, PriorityView};
-use kcore_parallel::primitives::pack;
+use kcore_parallel::primitives::{pack, par_min_by};
 
 /// Flat active-array frontier source.
 pub struct SingleBucket {
@@ -45,6 +47,30 @@ impl BucketStructure for SingleBucket {
         // the frontier. Both are O(|A|), matching Thm. 3.1's assumption.
         self.active = pack(&self.active, |&v| view.alive(v) && view.key(v) >= k);
         pack(&self.active, |&v| view.key(v) == k)
+    }
+
+    fn next_nonempty(
+        &mut self,
+        k: u32,
+        limit: u32,
+        view: &dyn PriorityView,
+    ) -> Option<(u32, Vec<u32>)> {
+        // A non-empty level costs exactly what `next_frontier` costs:
+        // the min reduce runs only once the `key == k` pack comes up
+        // empty, and then replaces the scans of every skipped level.
+        let frontier = self.next_frontier(k, view);
+        if self.active.is_empty() {
+            return None;
+        }
+        if !frontier.is_empty() || limit == k {
+            return Some((k, frontier));
+        }
+        let active = &self.active;
+        let min = par_min_by(active.len(), |i| view.key(active[i]))?;
+        if min > limit {
+            return Some((limit, Vec::new()));
+        }
+        Some((min, pack(active, |&v| view.key(v) == min)))
     }
 
     fn next_frontier_range(&mut self, lo: u32, hi: u32, view: &dyn PriorityView) -> Vec<u32> {
@@ -116,6 +142,24 @@ mod tests {
         let mut s = SingleBucket::new(&[]);
         let view = TestView::new(&[]);
         assert!(s.next_frontier(0, &view).is_empty());
+        assert_eq!(s.next_nonempty(0, u32::MAX, &view), None);
+    }
+
+    #[test]
+    fn jumps_land_on_the_next_live_key() {
+        let keys = vec![0, 3, 3, 40, 41, 900, 2, 900];
+        let mut s = SingleBucket::new(&keys);
+        crate::testutil::run_jump_schedule(&mut s, &keys);
+        let view = TestView::new(&keys);
+        for v in 0..keys.len() as u32 {
+            view.kill(v);
+        }
+        assert_eq!(s.next_nonempty(901, u32::MAX, &view), None, "nothing left alive");
+    }
+
+    #[test]
+    fn jumps_honour_the_limit() {
+        crate::testutil::run_limited_jump(&mut SingleBucket::new(&[10, 20, 20]));
     }
 
     #[test]

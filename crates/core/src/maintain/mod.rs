@@ -21,9 +21,12 @@
 //!    [`CorenessResult::shared`] snapshots are never torn), and
 //!    [`MaintainStats`] reports what the batch cost.
 //!
-//! Oversized regions (more than half the graph) fall back to a full
-//! re-peel of the logical graph — never slower than a fresh
-//! decomposition by more than the region computation itself.
+//! Oversized re-peels fall back to a full re-peel of the logical graph
+//! — never slower than a fresh decomposition by more than the region
+//! computation itself. A re-peel is oversized when its peel universe,
+//! the region plus one ghost per boundary arc, exceeds half the vertex
+//! count: a small region touching a hub can peel more elements than
+//! the whole graph has vertices.
 //!
 //! ```
 //! use kcore::maintain::DynamicGraph;
@@ -98,8 +101,10 @@ pub struct MaintainStats {
     /// Ghost elements pinning the region's boundary (0 on the full
     /// recompute path).
     pub ghosts: usize,
-    /// Whether the region was large enough that the batch fell back to
-    /// a full re-peel of the logical graph.
+    /// Whether the batch fell back to a full re-peel of the logical
+    /// graph: set when the region re-peel's universe — region vertices
+    /// plus boundary arcs (one ghost each) — would exceed half the
+    /// vertex count, so `2 * (region + boundary arcs) > n`.
     pub full_recompute: bool,
     /// Whether the batch triggered overlay compaction.
     pub compacted: bool,
@@ -285,9 +290,12 @@ impl DynamicGraph {
         stats.region = region.vertices.len();
         stats.confinement = (region.lo, region.hi);
 
-        // An oversized region forfeits the locality win; peel the whole
-        // logical graph instead of paying for ghosts on half its arcs.
-        stats.full_recompute = 2 * region.vertices.len() > n;
+        // An oversized re-peel forfeits the locality win. Its universe
+        // is the region plus one ghost per boundary arc, so a small
+        // region touching a hub can outgrow the graph itself: past half
+        // the vertex count, peel the whole logical graph instead.
+        let universe = region.vertices.len() + repeel::boundary_arcs(&self.graph, &region.vertices);
+        stats.full_recompute = 2 * universe > n;
         let ((region_vertices, coreness), repeel_nanos) =
             kcore_obs::timed("maintain.repeel", || {
                 if stats.full_recompute {
@@ -438,6 +446,31 @@ mod tests {
         assert_eq!(dynamic.last_stats().region, 50);
         assert!(dynamic.last_stats().full_recompute);
         assert_eq!(dynamic.last_stats().ghosts, 0);
+        assert_current(&dynamic);
+    }
+
+    #[test]
+    fn small_regions_touching_a_hub_fall_back_to_full_recompute() {
+        // A 4-clique whose vertex 0 is also the hub of a 96-leaf star.
+        // Deleting a clique edge confines the region to the clique
+        // (the leaves' coreness 1 is outside the range), but vertex 0's
+        // leaves make 96 boundary arcs: the re-peel universe outgrows
+        // half the graph even though the region is 4 of 100 vertices.
+        let mut b = GraphBuilder::new(100);
+        for u in 0..4u32 {
+            for v in (u + 1)..4 {
+                b.push_edge(u, v);
+            }
+        }
+        for leaf in 4..100u32 {
+            b.push_edge(0, leaf);
+        }
+        let mut dynamic = DynamicGraph::new(b.build(), Config::default());
+        dynamic.apply_batch(&[], &[(1, 2)]);
+        let s = dynamic.last_stats();
+        assert!(s.region <= 4, "the region is the clique, got {}", s.region);
+        assert!(s.full_recompute, "96 ghosts make the re-peel oversized");
+        assert_eq!(s.ghosts, 0);
         assert_current(&dynamic);
     }
 

@@ -25,6 +25,7 @@ use crate::peel::engine::{Incidence, PeelEngine, PeelProblem, UnitIncidence};
 use crate::Config;
 use kcore_graph::{OverlayGraph, VertexId};
 use kcore_parallel::RunStats;
+use rayon::prelude::*;
 
 /// Outcome of a subset re-peel.
 pub(crate) struct SubsetPeel {
@@ -80,6 +81,17 @@ impl PeelProblem for RegionProblem {
         rounds.truncate(self.region_len);
         (rounds, stats)
     }
+}
+
+/// Boundary arcs of `region` (sorted ascending vertex ids): arcs from a
+/// region vertex to a neighbor outside the region. A subset re-peel
+/// creates one ghost per arc, so its peel universe is `region.len()`
+/// plus this count.
+pub(crate) fn boundary_arcs(g: &OverlayGraph, region: &[VertexId]) -> usize {
+    region
+        .par_iter()
+        .map(|&v| g.neighbors(v).iter().filter(|w| region.binary_search(w).is_err()).count())
+        .sum()
 }
 
 /// Peels the subgraph induced by `region` (sorted ascending vertex ids)
@@ -172,10 +184,12 @@ mod tests {
         // Region {0, 1, 2}: vertex 2 gets one ghost for neighbor 3.
         let sub = peel_subset(&overlay, &coreness, &[0, 1, 2], Config::default());
         assert_eq!(sub.ghosts, 1);
+        assert_eq!(boundary_arcs(&overlay, &[0, 1, 2]), 1);
         assert_eq!(sub.coreness, &[2, 2, 2]);
         // Region {3}: two ghosts (2 and 4), both at coreness >= 1.
         let sub = peel_subset(&overlay, &coreness, &[3], Config::default());
         assert_eq!(sub.ghosts, 2);
+        assert_eq!(boundary_arcs(&overlay, &[3]), 2);
         assert_eq!(sub.coreness, &[1]);
     }
 

@@ -18,7 +18,11 @@
 //!
 //! * **Frontier source** — the problem's [`RoundPolicy`].
 //!   [`RoundPolicy::MinBucket`] makes round `k` peel the elements of
-//!   priority exactly `k`, clamping at `k`. [`RoundPolicy::Threshold`]
+//!   priority exactly `k`, clamping at `k`; the loop jumps straight to
+//!   the next non-empty level
+//!   ([`kcore_buckets::BucketStructure::next_nonempty`], Julienne's
+//!   `next_bucket`), so empty levels cost nothing but still count as
+//!   rounds. [`RoundPolicy::Threshold`]
 //!   computes a peel threshold `t` from the live [`RoundAggregates`],
 //!   drains everything at or below it in one bulk step
 //!   ([`kcore_buckets::BucketStructure::drain_threshold`]) and clamps
@@ -270,8 +274,10 @@ pub trait ThresholdPolicy: Sync {
 /// How the engine forms rounds — the round-structure axis of the
 /// framework, chosen by the problem via [`PeelProblem::round_policy`].
 pub enum RoundPolicy<'p> {
-    /// Round `k` peels priority exactly `k` (today's behavior,
-    /// bit-identical to the pre-policy engine).
+    /// Round `k` peels priority exactly `k`. Only non-empty levels are
+    /// visited; the levels jumped over still count in
+    /// [`RunStats::rounds`] (as rounds of zero subrounds), so the stats
+    /// match a level-by-level peel bit for bit.
     MinBucket,
     /// Round `r` peels every priority at or below a threshold computed
     /// from the live aggregates; rounds batch whole priority ranges
@@ -505,6 +511,13 @@ pub(crate) trait Step {
     /// Settles `frontier` and applies the decrement rule.
     fn subround<P: PeelProblem>(&mut self, frontier: &[u32], round: &Round<'_, P>) -> Wave;
 
+    /// Highest level a `MinBucket` round starting at `floor` may jump
+    /// to. The default lets it reach the lowest live priority: stored
+    /// priorities are exact, so every level below it is empty.
+    fn skip_limit(&self, _floor: u32) -> u32 {
+        u32::MAX
+    }
+
     /// Prepares a round's initial frontier before it peels.
     fn round_start<P: PeelProblem>(&mut self, _: &[u32], _: &Round<'_, P>) {}
 
@@ -524,6 +537,15 @@ pub(crate) trait Step {
 /// structure and its adaptive HBS upgrade, the stall check, the
 /// `round` → `bucket.drain` → `subround` span nesting, and the
 /// round/subround accounting.
+///
+/// `MinBucket` rounds jump: each asks the bucket structure for the
+/// lowest non-empty level at or above the floor, bounded by the step's
+/// [`Step::skip_limit`] and the top priority, and moves `round` and
+/// `floor` there. The skipped levels are added to the stats in one
+/// step, with a zero per level in `subrounds_per_round`; only visited
+/// levels get a `round` span, labelled with the level. The adaptive
+/// HBS upgrade fires at the start of the first round whose floor has
+/// reached θ.
 ///
 /// Settle rounds record the round *index*. Under threshold rounds,
 /// survivors always end a round with priority `> t` (the clamp only
@@ -551,8 +573,8 @@ fn run_rounds<P: PeelProblem, S: Step>(
     let mut adaptive_pending = matches!(config.bucket_strategy, BucketStrategy::Adaptive);
     // Threshold rounds may need one round past the top priority to
     // drain it; exact rounds end at it.
-    let max_prio = u64::from(*init.iter().max().unwrap_or(&0));
-    let last_round = max_prio + u64::from(matches!(policy, RoundPolicy::Threshold(_)));
+    let max_prio = *init.iter().max().unwrap_or(&0);
+    let last_round = u64::from(max_prio) + u64::from(matches!(policy, RoundPolicy::Threshold(_)));
     let view = LiveView { prio: &prio, settled: &settled };
     let mut remaining = n;
     let mut floor = 0u32; // lower bound on live priorities
@@ -562,7 +584,7 @@ fn run_rounds<P: PeelProblem, S: Step>(
             u64::from(round) <= last_round,
             "peeling stalled: {remaining} elements left after round {last_round}"
         );
-        let _round = span!("round", round);
+        let mut round_span = span!("round", round);
         if adaptive_pending && floor >= ADAPTIVE_THETA {
             let live = pack_index(n, |v| view.alive(v as u32));
             let entries = live.iter().map(|&v| (v, view.key(v)));
@@ -571,8 +593,22 @@ fn run_rounds<P: PeelProblem, S: Step>(
         }
         let (t, mut frontier) = match policy {
             RoundPolicy::MinBucket => {
+                // Jump to the lowest non-empty level the step allows.
+                // No live element sits below it, so the skipped levels
+                // are rounds that would have peeled nothing: they count
+                // in `rounds` without being visited. `None` while
+                // elements remain would mean the bucket lost them; it
+                // reads as an empty level so the stall check reports it.
+                let limit = step.skip_limit(floor).min(max_prio);
                 let _drain = span!("bucket.drain", floor);
-                (floor, bucket.next_frontier(floor, &view))
+                let (level, frontier) =
+                    bucket.next_nonempty(floor, limit, &view).unwrap_or((limit, Vec::new()));
+                if level > floor {
+                    stats.record_skipped_rounds(level - floor);
+                    round_span.relabel(u64::from(level));
+                    round = level;
+                }
+                (level, frontier)
             }
             RoundPolicy::Threshold(policy) => {
                 // The live aggregates: a threshold run has O(log n)
@@ -723,6 +759,18 @@ impl Step for FusedStep<'_> {
             work: arcs + counters.chased_work.load(Ordering::Relaxed),
             chain: counters.chain.get().max(1),
             next: refile(&mut self.bag),
+        }
+    }
+
+    fn skip_limit(&self, floor: u32) -> u32 {
+        // A sample-mode stored priority may be a stale upper bound: the
+        // element can truly count anywhere from `floor + 1` up, and only
+        // the round ends in between catch it. No jump while one may be
+        // live.
+        if self.sampling.is_some() {
+            floor
+        } else {
+            u32::MAX
         }
     }
 

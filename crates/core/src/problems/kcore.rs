@@ -185,6 +185,26 @@ mod tests {
     }
 
     #[test]
+    fn empty_levels_still_count_as_rounds() {
+        // A 150-clique planted in a sparse periphery: the clique's
+        // coreness sits more than 100 levels above everything else.
+        let g = gen::planted_core(2000, 3, 150, 5);
+        let want = bz_coreness(&g);
+        for strategy in strategies() {
+            let r = Decomposition::kcore(&g).exact_config(Config::with_strategy(strategy)).run();
+            assert_eq!(r.coreness(), want.as_slice(), "{strategy} disagrees with BZ");
+            let stats = r.stats();
+            let kmax = u64::from(r.kmax());
+            let periphery = want.iter().copied().filter(|&c| u64::from(c) < kmax).max().unwrap();
+            assert!(kmax - u64::from(periphery) > 100, "gap of {kmax} over {periphery}");
+            assert_eq!(stats.rounds, kmax + 1, "{strategy}: every level counts as a round");
+            assert_eq!(stats.subrounds_per_round.len() as u64, stats.rounds, "{strategy}");
+            let empty = stats.subrounds_per_round.iter().filter(|&&s| s == 0).count();
+            assert!(empty > 100, "{strategy}: the gap's levels peel no subround");
+        }
+    }
+
+    #[test]
     fn peeling_is_deterministic_for_fixed_input() {
         let g = gen::rmat(8, 6, 0.57, 0.19, 0.19, 2);
         let a = Decomposition::kcore(&g).config(Config::default()).run();

@@ -3,7 +3,10 @@
 //! snapshot, recompute, offline) is pinned (names, nesting, counts —
 //! never timings), and the trace's round/subround span counts are
 //! required to agree exactly with the engine's own `RunStats`
-//! accounting.
+//! accounting. `RunStats::rounds` counts every level; the loop visits
+//! only non-empty ones, each of which peels at least one subround, so
+//! the `round` span count is the number of non-zero
+//! `subrounds_per_round` entries.
 //!
 //! Tests here force the trace level programmatically and use
 //! `exact_config`, so the `KCORE_TRACE` / `KCORE_TECHNIQUES` CI matrix
@@ -11,9 +14,16 @@
 //! a dedicated thread and scopes assertions to that thread's trace id;
 //! a shared lock serializes them because the recorder is process-global.
 
-use kcore::{Config, Decomposition};
+use kcore::{Config, Decomposition, Sampling, Techniques};
 use kcore_graph::gen;
 use kcore_obs::{set_level, Level, TraceReport};
+use kcore_parallel::RunStats;
+
+/// Rounds the loop visited: the levels that peeled at least one
+/// subround (skipped levels are recorded as zero-subround rounds).
+fn visited_rounds(stats: &RunStats) -> u64 {
+    stats.subrounds_per_round.iter().filter(|&&s| s > 0).count() as u64
+}
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -46,8 +56,10 @@ fn span_tree_of_a_fixed_minbucket_kcore_run_is_pinned() {
 
     let stats = result.stats();
     // The default MinBucket unit driver emits one `round` (and one
-    // bucket drain) per k value, one `subround` (and one refile) per
-    // frontier wave — exactly the quantities RunStats counts. The
+    // bucket drain) per visited level, one `subround` (and one refile)
+    // per frontier wave — exactly the quantities RunStats counts. Every
+    // vertex of this graph has coreness 3, so levels 0–2 are jumped
+    // over: four rounds, one visited. The
     // `KCORE_BACKEND=compressed` CI leg re-encodes the graph inside the
     // facade, which is visible as one extra `build.encode` root — proof
     // the override actually reaches `Decomposition::run`.
@@ -62,10 +74,11 @@ fn span_tree_of_a_fixed_minbucket_kcore_run_is_pinned() {
          \x20   bucket.drain x{rounds}\n\
          \x20   subround x{subrounds}\n\
          \x20     frontier.refile x{subrounds}\n",
-        rounds = stats.rounds,
+        rounds = visited_rounds(stats),
         subrounds = stats.subrounds,
     );
     assert_eq!(report.span_tree(tid), expected);
+    assert_eq!((stats.rounds, visited_rounds(stats)), (4, 1));
 }
 
 #[test]
@@ -73,15 +86,16 @@ fn ba3000_span_counts_match_run_stats_exactly() {
     let _g = serial();
     // The acceptance instance: a ba-3000 k-core run under
     // KCORE_TRACE=spans must produce a Chrome trace whose round and
-    // subround span counts equal RunStats.rounds / .subrounds.
+    // subround span counts equal the visited rounds / RunStats.subrounds.
     let g = gen::barabasi_albert(3000, 4, 42);
     let (result, _tid) = traced(|| Decomposition::kcore(&g).exact_config(Config::default()).run());
     let report = TraceReport::capture();
     set_level(Level::Off);
 
     let stats = result.stats();
-    assert!(stats.rounds > 0 && stats.subrounds > 0);
-    assert_eq!(report.span_count("round"), stats.rounds, "round spans vs RunStats.rounds");
+    let visited = visited_rounds(stats);
+    assert!(visited > 0 && stats.subrounds > 0);
+    assert_eq!(report.span_count("round"), visited, "round spans vs visited rounds");
     assert_eq!(
         report.span_count("subround"),
         stats.subrounds,
@@ -93,7 +107,7 @@ fn ba3000_span_counts_match_run_stats_exactly() {
     let chrome = report.chrome_trace();
     let begins =
         |name: &str| chrome.matches(&format!("{{\"name\":\"{name}\",\"ph\":\"B\"")).count();
-    assert_eq!(begins("round") as u64, stats.rounds);
+    assert_eq!(begins("round") as u64, visited);
     assert_eq!(begins("subround") as u64, stats.subrounds);
 
     // publish_metrics ran inside the engine, so the gauges mirror the
@@ -105,6 +119,26 @@ fn ba3000_span_counts_match_run_stats_exactly() {
     };
     assert_eq!(gauge("run.rounds"), stats.rounds);
     assert_eq!(gauge("run.subrounds"), stats.subrounds);
+}
+
+#[test]
+fn sampling_visits_every_level() {
+    let _g = serial();
+    // A sample-mode stored priority can be a stale upper bound, so a
+    // round loop with sampling on never jumps: one `round` span per
+    // level, empty ones included.
+    let g = gen::barabasi_albert(3000, 4, 42);
+    let techniques =
+        Techniques { sampling: Some(Sampling::with_threshold(16)), ..Techniques::default() };
+    let (result, _tid) =
+        traced(|| Decomposition::kcore(&g).exact_config(Config::with_techniques(techniques)).run());
+    let report = TraceReport::capture();
+    set_level(Level::Off);
+
+    let stats = result.stats();
+    assert!(stats.sampled_vertices > 0, "the threshold must put hubs in sample mode");
+    assert!(visited_rounds(stats) < stats.rounds, "levels 0-3 peel nothing");
+    assert_eq!(report.span_count("round"), stats.rounds, "no level may be skipped");
 }
 
 #[test]
@@ -177,13 +211,13 @@ fn span_tree_of_a_fixed_snapshot_ktruss_run_is_pinned() {
 
 #[test]
 fn span_tree_of_a_fixed_recompute_khcore_run_is_pinned() {
-    // Rounds outnumber subrounds: some priorities are never hit
-    // exactly, so their rounds drain an empty frontier.
+    // Only the levels some priority actually hits are visited: the
+    // other 44 of the 69 levels are jumped over.
     let g = gen::barabasi_albert(300, 3, 7);
     let tree = tree_of(|| Decomposition::khcore(&g, 2).exact_config(Config::default()).run());
     let expected = "kh-core x1\n\
-                    \x20 round x69\n\
-                    \x20   bucket.drain x69\n\
+                    \x20 round x25\n\
+                    \x20   bucket.drain x25\n\
                     \x20   subround x68\n\
                     \x20     settle x68\n\
                     \x20     recompute x68\n\

@@ -159,6 +159,9 @@ pub fn reset() {
 pub struct SpanGuard {
     id: u32,
     armed: bool,
+    /// Arg recorded with the end slot; 0 keeps the begin's (see
+    /// [`SpanGuard::relabel`]).
+    end_arg: u64,
 }
 
 impl SpanGuard {
@@ -166,11 +169,11 @@ impl SpanGuard {
     #[inline]
     pub fn begin(id: &'static registry::NameId, name: &'static str, arg: u64) -> SpanGuard {
         if !enabled(Level::Spans) {
-            return SpanGuard { id: 0, armed: false };
+            return SpanGuard { id: 0, armed: false, end_arg: 0 };
         }
         let id = id.get(name);
         ring::record(RecordKind::Begin, id, arg);
-        SpanGuard { id, armed: true }
+        SpanGuard { id, armed: true, end_arg: 0 }
     }
 
     /// Slow-path span for dynamic (but still interned-by-content)
@@ -179,11 +182,21 @@ impl SpanGuard {
     #[inline]
     pub fn begin_dyn(name: &str, arg: u64) -> SpanGuard {
         if !enabled(Level::Spans) {
-            return SpanGuard { id: 0, armed: false };
+            return SpanGuard { id: 0, armed: false, end_arg: 0 };
         }
         let id = registry::intern_dynamic(name);
         ring::record(RecordKind::Begin, id, arg);
-        SpanGuard { id, armed: true }
+        SpanGuard { id, armed: true, end_arg: 0 }
+    }
+
+    /// Replaces the span's payload with a value learned inside it (the
+    /// level a round jumped to, say). It is recorded with the end slot,
+    /// and the Chrome export puts it on the `E` event, whose args the
+    /// viewer merges over the begin's. A non-zero `arg` is required to
+    /// take effect: 0 keeps the begin's payload.
+    #[inline]
+    pub fn relabel(&mut self, arg: u64) {
+        self.end_arg = arg;
     }
 }
 
@@ -191,7 +204,7 @@ impl Drop for SpanGuard {
     #[inline]
     fn drop(&mut self) {
         if self.armed {
-            ring::record(RecordKind::End, self.id, 0);
+            ring::record(RecordKind::End, self.id, self.end_arg);
         }
     }
 }
@@ -394,6 +407,25 @@ mod tests {
         let json = report.metrics_json();
         assert!(json.contains("kcore-trace-metrics/v1"));
         set_level(Level::Off);
+    }
+
+    #[test]
+    fn relabel_rides_on_the_end_event() {
+        let _g = serial();
+        set_level(Level::Spans);
+        reset();
+        kcore_check::thread::spawn(|| {
+            let mut jumped = span!("test.relabel", 3);
+            jumped.relabel(1499);
+            let _kept = span!("test.kept", 4);
+        })
+        .join()
+        .unwrap();
+        let chrome = TraceReport::capture().chrome_trace();
+        set_level(Level::Off);
+        assert!(chrome.contains("\"name\":\"test.relabel\",\"ph\":\"B\""));
+        assert_eq!(chrome.matches("\"ph\":\"E\"").count(), 2);
+        assert_eq!(chrome.matches("\"args\":{\"arg\":1499}").count(), 1, "{chrome}");
     }
 
     #[test]

@@ -153,6 +153,11 @@ impl TraceReport {
                         t.tid,
                         r.arg
                     ),
+                    RecordKind::End if r.arg != 0 => format!(
+                        "{{\"ph\":\"E\",\"ts\":{ts:.3},\"pid\":1,\"tid\":{},\
+                         \"args\":{{\"arg\":{}}}}}",
+                        t.tid, r.arg
+                    ),
                     RecordKind::End => {
                         format!("{{\"ph\":\"E\",\"ts\":{ts:.3},\"pid\":1,\"tid\":{}}}", t.tid)
                     }

@@ -96,6 +96,14 @@ impl RunStats {
         self.subrounds_per_round.push(subrounds);
     }
 
+    /// Counts `levels` empty rounds the round loop jumped over without
+    /// visiting: each is a round of zero subrounds, as if it had run.
+    pub fn record_skipped_rounds(&mut self, levels: u32) {
+        self.rounds += u64::from(levels);
+        let len = self.subrounds_per_round.len() + levels as usize;
+        self.subrounds_per_round.resize(len, 0);
+    }
+
     /// Predicted parallel time on `p` cores under the work–span model
     /// `T_p ≈ W/p + S_b` (in abstract operation units). Used by the
     /// scalability experiment to recover speedup *shape* on hardware
@@ -203,6 +211,17 @@ mod tests {
         assert_eq!(s.burdened_span, 2 * OMEGA + 60);
         assert_eq!(s.peak_chain, 50);
         assert_eq!(s.subrounds_per_round, vec![2]);
+    }
+
+    #[test]
+    fn skipped_rounds_count_as_empty_rounds() {
+        let mut s = RunStats::default();
+        s.record_round(1);
+        s.record_skipped_rounds(3);
+        s.record_round(2);
+        assert_eq!(s.rounds, 5);
+        assert_eq!(s.subrounds_per_round, vec![1, 0, 0, 0, 2]);
+        assert_eq!((s.subrounds, s.global_syncs, s.burdened_span), (0, 0, 0));
     }
 
     #[test]

@@ -179,6 +179,15 @@ where
     (0..n).into_par_iter().map(&f).max()
 }
 
+/// Parallel minimum of `f(i)` over `0..n`; `None` when `n == 0`.
+pub fn par_min_by<F, T>(n: usize, f: F) -> Option<T>
+where
+    F: Fn(usize) -> T + Sync,
+    T: Ord + Send,
+{
+    (0..n).into_par_iter().map(&f).min()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
